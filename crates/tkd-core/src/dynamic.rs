@@ -470,6 +470,19 @@ impl DynamicEngine {
         r
     }
 
+    /// Number of live objects missing `dim` (`|Sᵢ|`), maintained per
+    /// update — equal to [`stats::missing_count`] of the snapshot.
+    pub fn missing_count(&self, dim: usize) -> usize {
+        self.missing[dim]
+    }
+
+    /// Distinct observed values of `dim` among the live objects, read
+    /// from the maintained index ([`BitmapIndex::live_cardinality`]) —
+    /// equal to the length of [`stats::distinct_values`] of the snapshot.
+    pub fn live_cardinality(&self, dim: usize) -> usize {
+        self.index.live_cardinality(dim)
+    }
+
     /// Is `id` a live object?
     pub fn contains(&self, id: ObjectId) -> bool {
         self.slot_of.contains_key(&id)
@@ -1778,6 +1791,33 @@ mod tests {
         let after: Vec<_> = dynamic_entries(&mut engine, 5, Algorithm::Big);
         assert_eq!(before, after);
         assert_eq!(after, oracle(&engine, 5, Algorithm::Big, 1));
+    }
+
+    #[test]
+    fn maintained_counts_match_the_snapshot_across_compaction() {
+        let mut engine = engine_no_compaction(fixtures::fig3_sample());
+        let check = |engine: &DynamicEngine| {
+            let snap = engine.snapshot();
+            for d in 0..engine.dims() {
+                assert_eq!(engine.missing_count(d), stats::missing_count(&snap, d));
+                assert_eq!(
+                    engine.live_cardinality(d),
+                    stats::distinct_values(&snap, d).len()
+                );
+            }
+        };
+        // Leave values without live holders in the index's tables.
+        for id in [0, 3, 7, 11, 16] {
+            engine.delete(id).unwrap();
+        }
+        engine.update_value(1, 3, None).unwrap();
+        engine
+            .insert(&[Some(-0.0), None, Some(0.0), Some(9.5)])
+            .unwrap();
+        check(&engine);
+        engine.compact_now();
+        assert_eq!(engine.tombstones(), 0);
+        check(&engine);
     }
 
     #[test]

@@ -484,6 +484,26 @@ impl BitmapIndex {
         self.values[dim].len()
     }
 
+    /// Distinct values of `dim` held by at least one **live** object — the
+    /// `Cᵢ` a rebuild over the live rows would measure. Unlike
+    /// [`BitmapIndex::cardinality`] it skips values left without holders
+    /// by tombstones and cell updates (which stay in the table until
+    /// compaction).
+    ///
+    /// Slot `j` has a live holder iff `|col_{j−1}| > |col_j|`, both read
+    /// from the suffix tables; column 0 stays all-ones over tombstones, so
+    /// its live count stands in for it. `O(Cᵢ)`, no bitmap pass.
+    pub fn live_cardinality(&self, dim: usize) -> usize {
+        let mut above = self.live_count();
+        let mut held = 0;
+        for suf in &self.block_suffix[dim][1..] {
+            let count = suf[0] as usize;
+            held += usize::from(above > count);
+            above = count;
+        }
+        held
+    }
+
     /// Sorted distinct values of `dim`.
     pub fn values(&self, dim: usize) -> &[f64] {
         &self.values[dim]
@@ -1248,6 +1268,13 @@ mod tests {
             let oracle = BitmapIndex::build(&Dataset::from_rows(dims, &live_rows).unwrap());
             assert_eq!(dyn_idx.live_count(), live_rows.len());
             assert_eq!(dyn_idx.n() - dyn_idx.dead_count(), live_rows.len());
+            for d in 0..dims {
+                assert_eq!(
+                    dyn_idx.live_cardinality(d),
+                    oracle.cardinality(d),
+                    "live cardinality of dim {d} at step {step}"
+                );
+            }
             let mut q = BitVec::zeros(dyn_idx.n());
             let mut p = BitVec::zeros(dyn_idx.n());
             let mut oq = BitVec::zeros(oracle.n());
@@ -1411,6 +1438,145 @@ mod tests {
         assert_eq!(c, 2);
         assert_eq!(idx.live_count(), 1);
         assert_eq!(idx.max_bit_score_counted(2), 0);
+    }
+
+    /// Slot-indexed rows of a dynamically maintained index (`None` =
+    /// tombstoned), for the `live_cardinality` cases.
+    struct LiveRows {
+        idx: BitmapIndex,
+        rows: Vec<Option<Vec<Option<f64>>>>,
+    }
+
+    impl LiveRows {
+        fn build(rows: &[Vec<Option<f64>>]) -> Self {
+            let dims = rows[0].len();
+            LiveRows {
+                idx: BitmapIndex::build(&Dataset::from_rows(dims, rows).unwrap()),
+                rows: rows.iter().cloned().map(Some).collect(),
+            }
+        }
+
+        fn append(&mut self, row: Vec<Option<f64>>) {
+            self.idx.append_row(|d| row[d]);
+            self.rows.push(Some(row));
+        }
+
+        fn delete(&mut self, slot: usize) {
+            assert!(self.idx.tombstone_row(slot));
+            self.rows[slot] = None;
+        }
+
+        fn set(&mut self, slot: usize, dim: usize, v: Option<f64>) {
+            self.idx.set_cell(slot, dim, v);
+            self.rows[slot].as_mut().unwrap()[dim] = v;
+        }
+
+        /// Pin `live_cardinality` to the distinct values of a snapshot of
+        /// the live rows, and return dimension 0's `(table, live)` sizes.
+        fn check(&self) -> (usize, usize) {
+            let live: Vec<Vec<Option<f64>>> = self.rows.iter().flatten().cloned().collect();
+            let snap = Dataset::from_rows(self.idx.dims(), &live).unwrap();
+            for d in 0..self.idx.dims() {
+                assert_eq!(
+                    self.idx.live_cardinality(d),
+                    stats::distinct_values(&snap, d).len(),
+                    "dim {d}"
+                );
+            }
+            (self.idx.cardinality(0), self.idx.live_cardinality(0))
+        }
+    }
+
+    /// Dimension 0 holds 1.0 once, 2.0 once, 3.0 twice and one missing
+    /// cell; dimension 1 pads so no row is all-missing.
+    fn cardinality_rows() -> LiveRows {
+        LiveRows::build(&[
+            vec![Some(1.0), Some(0.0)],
+            vec![Some(2.0), Some(0.0)],
+            vec![Some(3.0), Some(0.0)],
+            vec![Some(3.0), Some(0.0)],
+            vec![None, Some(0.0)],
+        ])
+    }
+
+    #[test]
+    fn live_cardinality_skips_a_deleted_last_holder() {
+        let mut t = cardinality_rows();
+        assert_eq!(t.check(), (3, 3));
+        // One of two holders of 3.0 goes: the value stays held.
+        t.delete(2);
+        assert_eq!(t.check(), (3, 3));
+        // The only holder of 2.0 goes: the value stays in the table.
+        t.delete(1);
+        assert_eq!(t.check(), (3, 2));
+    }
+
+    #[test]
+    fn live_cardinality_skips_a_value_set_to_missing() {
+        let mut t = cardinality_rows();
+        t.set(1, 0, None);
+        assert_eq!(t.check(), (3, 2));
+        // Moving the last holder of 1.0 onto 3.0 empties another slot.
+        t.set(0, 0, Some(3.0));
+        assert_eq!(t.check(), (3, 1));
+    }
+
+    #[test]
+    fn live_cardinality_of_the_minimum_slot() {
+        // Slot 1's upper neighbour is column 0, which stays all-ones over
+        // tombstones: the live count must stand in for it.
+        let mut t = cardinality_rows();
+        t.delete(0);
+        assert_eq!(t.idx.column(0, 0).count_ones(), t.idx.n());
+        assert_eq!(t.check(), (3, 2));
+        // Every holder gone: only the missing cell is left.
+        for slot in 1..4 {
+            t.delete(slot);
+        }
+        assert_eq!(t.check(), (3, 0));
+        t.delete(4);
+        assert_eq!(t.check(), (3, 0));
+    }
+
+    #[test]
+    fn live_cardinality_counts_spliced_values() {
+        let mut t = cardinality_rows();
+        t.delete(0);
+        // A new minimum is spliced in below the emptied 1.0 slot, and a
+        // new middle value by a cell update.
+        t.append(vec![Some(0.5), None]);
+        assert_eq!(t.check(), (4, 3));
+        t.set(4, 0, Some(2.5));
+        assert_eq!(t.check(), (5, 4));
+        // A spliced value whose only holder goes again.
+        t.delete(5);
+        assert_eq!(t.check(), (5, 3));
+    }
+
+    #[test]
+    fn live_cardinality_merges_signed_zeros() {
+        let mut t = LiveRows::build(&[vec![Some(0.0), Some(-0.0)], vec![Some(1.0), Some(0.0)]]);
+        assert_eq!(t.check(), (2, 2));
+        t.append(vec![Some(-0.0), Some(0.0)]);
+        assert_eq!(t.check(), (2, 2));
+        // −0.0 still holds the merged zero after 0.0's holder goes.
+        t.delete(0);
+        assert_eq!(t.check(), (2, 2));
+        t.set(2, 0, Some(1.0));
+        assert_eq!(t.check(), (2, 1));
+    }
+
+    #[test]
+    fn live_cardinality_after_a_rebuild_is_the_table_size() {
+        // Compaction rebuilds the index over the live rows, which drops
+        // the unheld values from the table.
+        let mut t = cardinality_rows();
+        t.delete(1);
+        t.set(0, 0, None);
+        assert_eq!(t.check(), (3, 1));
+        let live: Vec<Vec<Option<f64>>> = t.rows.iter().flatten().cloned().collect();
+        let rebuilt = LiveRows::build(&live);
+        assert_eq!(rebuilt.check(), (1, 1));
     }
 
     #[test]

@@ -12,10 +12,20 @@
 //!   with ids translated through the live-id table, and `SUBSCRIBE`
 //!   registers a [`StandingSpec`].
 //!
-//! Cost-based algorithm selection ([`AlgoChoice::Auto`]) measures the
-//! *derived* dataset and calls [`resolve_algorithm`]; EXPLAIN calls the
-//! same function on the same stats, so the printed and executed choices
-//! are one decision, not two.
+//! Cost-based algorithm selection ([`AlgoChoice::Auto`]) calls
+//! [`resolve_algorithm`] on the [`PlanStats`] of the data the plan runs
+//! against; EXPLAIN calls the same function on the same stats, so the
+//! printed and executed choices are one decision, not two. Where the
+//! stats come from depends on the target:
+//!
+//! * a scoped statement (`WHERE`, `SUBSPACE`) measures its *derived*
+//!   dataset;
+//! * on an engine, an unscoped statement — and every `SUBSCRIBE`, whose
+//!   standing query is maintained over the whole live data — reads N, σ
+//!   and Vᵢ from the engine's maintained counts
+//!   ([`PlanStats::of_engine`]) and copies no row. Those counts equal a
+//!   snapshot's by construction, so the decision is the one a snapshot
+//!   would give.
 
 use crate::error::{QlError, Span};
 use crate::plan::{resolve_algorithm, AlgoChoice, AlgoDecision, Plan, PlanStats};
@@ -63,7 +73,7 @@ pub fn run_on_dataset(plan: &Plan, ds: &Dataset) -> Result<Outcome, QlError> {
         return Ok(Outcome::Explain(render_explain(
             plan,
             &format!("dataset (N={}, d={})", ds.len(), ds.dims()),
-            &derived,
+            &derived.stats,
             &decision,
         )));
     }
@@ -92,26 +102,16 @@ pub fn run_on_engine(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome,
     if plan.subscribe {
         return subscribe(plan, engine);
     }
-    // Scoped queries (and Auto selection) measure/run against a snapshot
-    // of the live rows; snapshot id `i` is live_ids()[i].
-    let scoped = plan.subspace.is_some() || !plan.ranges.is_empty();
-    if !scoped {
-        let snap;
-        let stats = {
-            snap = engine.snapshot();
-            PlanStats::of(&snap)
-        };
+    if !is_scoped(plan) {
+        // The live data is the derived data: plan from the maintained
+        // counts, run on the maintained index.
+        let stats = PlanStats::of_engine(engine);
         let decision = decide(plan, &stats, true);
         if plan.explain {
-            let derived = Derived {
-                ds: snap,
-                mapping: None,
-                stats,
-            };
             return Ok(Outcome::Explain(render_explain(
                 plan,
-                &format!("engine (live N={}, d={})", engine.len(), engine.dims()),
-                &derived,
+                &engine_target(engine),
+                &stats,
                 &decision,
             )));
         }
@@ -121,6 +121,8 @@ pub fn run_on_engine(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome,
             .map_err(|e| QlError::exec(Span::eof(), e.to_string()))?;
         return Ok(Outcome::Rows(result));
     }
+    // Scoped queries measure and run against a snapshot of the live rows;
+    // snapshot id `i` is live_ids()[i].
     let snap = engine.snapshot();
     let live = engine.live_ids();
     let derived = derive(plan, &snap)?;
@@ -128,8 +130,8 @@ pub fn run_on_engine(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome,
     if plan.explain {
         return Ok(Outcome::Explain(render_explain(
             plan,
-            &format!("engine (live N={}, d={})", engine.len(), engine.dims()),
-            &derived,
+            &engine_target(engine),
+            &derived.stats,
             &decision,
         )));
     }
@@ -139,15 +141,11 @@ pub fn run_on_engine(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome,
 }
 
 fn subscribe(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome, QlError> {
-    let mut spec = StandingSpec::new(plan.k);
-    spec = match plan.algo {
-        AlgoChoice::Fixed(a) => spec.algorithm(a),
-        AlgoChoice::Auto => {
-            // Standing queries patch BIG/IBIG; resolve on the live data.
-            let snap = engine.snapshot();
-            spec.algorithm(resolve_algorithm(&PlanStats::of(&snap), true).algorithm)
-        }
-    };
+    // Standing queries patch BIG/IBIG over the whole live data, so Auto
+    // resolves on the live counts whatever the scope.
+    let stats = PlanStats::of_engine(engine);
+    let decision = decide(plan, &stats, true);
+    let mut spec = StandingSpec::new(plan.k).algorithm(decision.algorithm);
     if let Some(dims) = &plan.subspace {
         spec = spec.subspace(dims.clone());
     }
@@ -158,19 +156,15 @@ fn subscribe(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome, QlError
         spec = spec.fallback_fraction(f);
     }
     if plan.explain {
-        let snap = engine.snapshot();
-        let derived = derive(plan, &snap)?;
-        let decision = AlgoDecision {
-            algorithm: spec.algorithm,
-            rationale: match plan.algo {
-                AlgoChoice::Fixed(_) => "USING clause".into(),
-                AlgoChoice::Auto => resolve_algorithm(&PlanStats::of(&snap), true).rationale,
-            },
+        let shown = if is_scoped(plan) {
+            derive(plan, &engine.snapshot())?.stats
+        } else {
+            stats
         };
         return Ok(Outcome::Explain(render_explain(
             plan,
-            &format!("engine (live N={}, d={})", engine.len(), engine.dims()),
-            &derived,
+            &engine_target(engine),
+            &shown,
             &decision,
         )));
     }
@@ -185,6 +179,16 @@ fn subscribe(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome, QlError
         .map(<[ResultEntry]>::to_vec)
         .unwrap_or_default();
     Ok(Outcome::Subscribed { id, initial })
+}
+
+/// Whether `WHERE` or `SUBSPACE` narrows the plan to a derived dataset.
+fn is_scoped(plan: &Plan) -> bool {
+    plan.subspace.is_some() || !plan.ranges.is_empty()
+}
+
+/// The EXPLAIN `target:` line of an engine.
+fn engine_target(engine: &DynamicEngine) -> String {
+    format!("engine (live N={}, d={})", engine.len(), engine.dims())
 }
 
 /// A plan's derived dataset plus the id mapping back to the target.
@@ -270,7 +274,7 @@ fn check_dims(plan: &Plan, dims: usize) -> Result<(), QlError> {
 
 /// Render the EXPLAIN text: bound plan, pushed-down region, derived-data
 /// statistics, and the algorithm decision with its rationale.
-fn render_explain(plan: &Plan, target: &str, derived: &Derived, decision: &AlgoDecision) -> String {
+fn render_explain(plan: &Plan, target: &str, stats: &PlanStats, decision: &AlgoDecision) -> String {
     let mut out = String::new();
     let kind = if plan.subscribe {
         "standing query (SUBSCRIBE)"
@@ -297,10 +301,9 @@ fn render_explain(plan: &Plan, target: &str, derived: &Derived, decision: &AlgoD
             out.push_str(&format!("  pushdown:  {r}\n"));
         }
     }
-    let s = &derived.stats;
     out.push_str(&format!(
         "  derived:   N={}, d={}, missing rate {:.3}\n",
-        s.n, s.dims, s.sigma
+        stats.n, stats.dims, stats.sigma
     ));
     out.push_str(&format!("  algorithm: {:?}\n", decision.algorithm));
     out.push_str(&format!("  chosen by: {}\n", decision.rationale));
@@ -474,6 +477,33 @@ mod tests {
             variants::subspace_top_k(&ds, &[1, 3], &TkdQuery::new(3).algorithm(Algorithm::Big))
                 .unwrap();
         assert_eq!(r.entries(), want.entries());
+    }
+
+    #[test]
+    fn engine_explain_reports_snapshot_statistics() {
+        let mut engine = DynamicEngine::new(fixtures::fig3_sample());
+        // Deletes leave values without live holders in the index.
+        for id in [0, 5, 10, 15] {
+            engine.delete(id).unwrap();
+        }
+        let snap = PlanStats::of(&engine.snapshot());
+        let derived = format!(
+            "  derived:   N={}, d={}, missing rate {:.3}",
+            snap.n, snap.dims, snap.sigma
+        );
+        // Above σN = 2 the rationale prints the Eq. 7 costs, which read Vᵢ.
+        let chosen = format!("  chosen by: {}", resolve_algorithm(&snap, true).rationale);
+        for text in [
+            "EXPLAIN SELECT TOP 2 DOMINATING",
+            "EXPLAIN SUBSCRIBE TO SELECT TOP 2 DOMINATING",
+        ] {
+            let plan = compile(text, 4).unwrap();
+            let Outcome::Explain(s) = run_on_engine(&plan, &mut engine).unwrap() else {
+                panic!("{text}: expected explain");
+            };
+            assert!(s.lines().any(|l| l == derived), "{text}:\n{s}");
+            assert!(s.lines().any(|l| l == chosen), "{text}:\n{s}");
+        }
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! observe is vacuously true, so `WHERE` never assumes anything about
 //! missing values. When no `USING` clause is given, the planner picks
 //! the algorithm by the paper's §4.5 space/time cost model, measured on
-//! the *derived* dataset (after `WHERE`/`SUBSPACE`), and `EXPLAIN`
-//! reports exactly the choice execution makes.
+//! the *derived* dataset (after `WHERE`/`SUBSPACE`; on an engine, an
+//! unscoped statement reads the same statistics from maintained counts),
+//! and `EXPLAIN` reports exactly the choice execution makes.
 //!
 //! ```
 //! use tkd_model::fixtures;

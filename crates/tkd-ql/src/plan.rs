@@ -3,7 +3,7 @@
 //! planner rule).
 
 use std::fmt;
-use tkd_core::Algorithm;
+use tkd_core::{Algorithm, DynamicEngine};
 use tkd_model::{stats, Dataset};
 
 /// A per-dimension inclusive value range pushed down from `WHERE`.
@@ -115,6 +115,26 @@ impl PlanStats {
             distinct: (0..ds.dims())
                 .map(|d| stats::distinct_values(ds, d).len())
                 .collect(),
+        }
+    }
+
+    /// Measure a dynamic engine's live data from its maintained counts —
+    /// the live count, `|Sᵢ|` and [`DynamicEngine::live_cardinality`] —
+    /// without copying a row. Equal to `PlanStats::of(&engine.snapshot())`
+    /// in every engine state: σ is the same integer ratio
+    /// [`stats::missing_rate`] computes.
+    pub fn of_engine(engine: &DynamicEngine) -> Self {
+        let (n, dims) = (engine.len(), engine.dims());
+        let missing: usize = (0..dims).map(|d| engine.missing_count(d)).sum();
+        PlanStats {
+            n,
+            dims,
+            sigma: if n == 0 {
+                0.0
+            } else {
+                missing as f64 / (n * dims) as f64
+            },
+            distinct: (0..dims).map(|d| engine.live_cardinality(d)).collect(),
         }
     }
 }

@@ -17,6 +17,7 @@ use common::{apply_to_mirror, random_op, row, Mirror, Mix};
 use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkdi::core::{maxscore, BinChoice, TkdQuery};
 use tkdi::prelude::*;
+use tkdi::ql::PlanStats;
 
 /// The parity cell: engine state vs rebuild-from-scratch oracles across
 /// both algorithms × both thread counts × an edge-heavy k set.
@@ -24,6 +25,18 @@ fn assert_parity(engine: &mut DynamicEngine, mirror: &Mirror, tag: &str) {
     // Bookkeeping parity first: snapshot and live ids match the mirror.
     if !mirror.rows.is_empty() {
         assert_eq!(engine.snapshot(), mirror.dataset(), "{tag}: snapshot");
+        // The planner's maintained counts are the mirror's statistics.
+        assert_eq!(
+            PlanStats::of_engine(engine),
+            PlanStats::of(&mirror.dataset()),
+            "{tag}: plan stats"
+        );
+    } else {
+        assert_eq!(
+            PlanStats::of_engine(engine),
+            PlanStats::of(&engine.snapshot()),
+            "{tag}: plan stats (empty)"
+        );
     }
     assert_eq!(engine.live_ids(), mirror.ids(), "{tag}: live ids");
     // Queue parity: the maintained MaxScore queue IS the rebuilt queue.

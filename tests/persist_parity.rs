@@ -15,6 +15,7 @@ use proptest::prelude::*;
 use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkdi::core::{BinChoice, TkdQuery};
 use tkdi::prelude::*;
+use tkdi::ql::PlanStats;
 use tkdi::store;
 
 /// Entries of a dynamic-engine query as comparable pairs.
@@ -35,6 +36,13 @@ fn assert_roundtrip_parity(engine: &mut DynamicEngine, tag: &str) {
     // Canonical bytes: re-encoding the loaded engine is the identity.
     assert_eq!(store::encode_engine(&mut loaded), bytes, "{tag}: bytes");
     assert_eq!(loaded.live_ids(), engine.live_ids(), "{tag}: ids");
+    // The planner's maintained counts survive the round trip, tombstones
+    // included.
+    assert_eq!(
+        PlanStats::of_engine(&loaded),
+        PlanStats::of(&engine.snapshot()),
+        "{tag}: plan stats"
+    );
     assert_eq!(
         loaded.maintained_queue(),
         engine.maintained_queue(),
