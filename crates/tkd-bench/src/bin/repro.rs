@@ -15,8 +15,9 @@
 //!   --scale      quick (default) or paper (the paper's dataset sizes)
 //!   --seed       RNG seed (default 42)
 //!   --out        also write each table as CSV into DIR
-//!   --threads    with `--exp perf`: run the parallel-engine
-//!                thread-scaling grid over the given thread counts
+//!   --threads    with `--exp perf`: run the batch fan-out grid
+//!                (`DynamicEngine::query_many`) over the given thread
+//!                counts
 //!   --bench-out  where `--exp perf` / `--exp updates` / `--exp persist`
 //!                / `--exp serve` / `--exp load` writes its JSON
 //!                (default: BENCH_2.json, BENCH_3.json with --threads,
@@ -230,7 +231,7 @@ fn main() {
     }
     // The perf baseline is opt-in: it is a repo artifact generator, not a
     // paper reproduction, so `--exp` must name it explicitly. With
-    // `--threads` it runs the thread-scaling grid (BENCH_3.json) instead
+    // `--threads` it runs the batch fan-out grid (BENCH_3.json) instead
     // of the sequential baseline grid (BENCH_2.json).
     if exps.as_ref().is_some_and(|set| set.contains("perf")) {
         let (table, json, default_out) = match &threads {
@@ -362,7 +363,7 @@ fn usage(err: &str) -> ! {
          [--bench-out FILE] [--threads 1,2,4,8] \
          [--baseline FILE --current FILE [--tolerance R]]\n\
          experiments: {}\n\
-         --threads runs the thread-scaling perf grid (requires --exp perf; \
+         --threads runs the batch fan-out perf grid (requires --exp perf; \
          writes BENCH_3.json)\n\
          --exp updates measures incremental maintenance vs rebuild \
          (writes BENCH_4.json)\n\

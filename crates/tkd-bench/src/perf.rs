@@ -282,40 +282,46 @@ fn to_json(scale: Scale, seed: u64, cells: &[Cell], kernels: &crate::load::Kerne
 }
 
 // ---------------------------------------------------------------------------
-// Thread-scaling grid (`--exp perf --threads 1,2,4,8` → BENCH_3.json)
+// Batch fan-out grid (`--exp perf --threads 1,2,4,8` → BENCH_3.json)
 // ---------------------------------------------------------------------------
 
 /// Size of the multi-user batch measured per thread count.
 const BATCH_QUERIES: usize = 16;
 
-/// One thread count's measurements within a cell.
+/// One thread count's batch measurement within a cell.
 struct ThreadRun {
     threads: usize,
-    /// Engine construction (preprocessing + sharded context build).
-    build_s: f64,
-    /// Single-query wall-clock, all threads cooperating (min of reps).
-    big_query_s: f64,
-    ibig_query_s: f64,
     /// Wall-clock of a [`BATCH_QUERIES`]-query mixed BIG/IBIG batch
-    /// through `query_many` (worker-per-query serving).
+    /// through `DynamicEngine::query_many` (min of reps).
     batch_s: f64,
 }
 
-/// One grid cell of the thread-scaling experiment.
+/// One grid cell of the batch fan-out experiment.
 struct ThreadCell {
     n: usize,
     dims: usize,
     missing: f64,
     cardinality: usize,
     k: usize,
-    /// Sequential scratch-engine baselines (the PR-2 engines).
+    /// `DynamicEngine` construction (preprocessing + both indexes).
+    build_s: f64,
+    /// One `DynamicEngine::query` each, the sequential baselines.
     seq_big_s: f64,
     seq_ibig_s: f64,
     runs: Vec<ThreadRun>,
 }
 
+impl ThreadCell {
+    /// The batch's cost answered one query after another on the
+    /// sequential path.
+    fn seq_batch_s(&self) -> f64 {
+        let half = (BATCH_QUERIES / 2) as f64;
+        half * (self.seq_big_s + self.seq_ibig_s)
+    }
+}
+
 fn measure_thread_cell(point: PerfPoint, seed: u64, threads: &[usize]) -> ThreadCell {
-    use tkd_core::{Algorithm, EngineQuery, ParallelEngine};
+    use tkd_core::{Algorithm, BinChoice, DynamicEngine, DynamicOptions, EngineQuery};
     let (n, dims, missing, k) = point;
     let cardinality = 100;
     let ds = generate(&SyntheticConfig {
@@ -326,61 +332,47 @@ fn measure_thread_cell(point: PerfPoint, seed: u64, threads: &[usize]) -> Thread
         distribution: Distribution::Independent,
         seed,
     });
-    let bins = vec![32usize; dims];
-    // Sequential baselines (shared preprocessing, as in the perf grid).
-    let pre = Preprocessed::build(&ds);
-    let ctx = big::BigContext::build_with(&ds, &pre);
-    let mut scratch = ctx.scratch();
-    let (seq_big, seq_big_s) =
-        time_best(QUERY_REPS, || big::big_with_scratch(&ctx, k, &mut scratch));
-    let ictx = ibig::IbigContext::<'_, tkd_bitvec::Concise>::build_with(&ds, &bins, &pre);
-    let mut iscratch = ictx.scratch();
-    let (seq_ibig, seq_ibig_s) = time_best(QUERY_REPS, || {
-        ibig::ibig_with_scratch(&ictx, k, &mut iscratch)
-    });
+    let options = DynamicOptions {
+        bins: BinChoice::Fixed(32),
+        ..DynamicOptions::default()
+    };
+    let (mut engine, build_s) = time(|| DynamicEngine::with_options(ds, options));
+    let big_q = EngineQuery::new(k);
+    let ibig_q = EngineQuery::new(k).algorithm(Algorithm::Ibig);
+    let (seq_big, seq_big_s) = time_best(QUERY_REPS, || engine.query(&big_q).expect("BIG"));
+    let (seq_ibig, seq_ibig_s) = time_best(QUERY_REPS, || engine.query(&ibig_q).expect("IBIG"));
 
     let batch: Vec<EngineQuery> = (0..BATCH_QUERIES)
         .map(|i| {
-            EngineQuery::new(k).algorithm(if i % 2 == 0 {
-                Algorithm::Big
+            if i % 2 == 0 {
+                big_q.clone()
             } else {
-                Algorithm::Ibig
-            })
+                ibig_q.clone()
+            }
         })
         .collect();
-
     let mut runs = Vec::with_capacity(threads.len());
     for &t in threads {
-        let (engine, build_s) = time(|| {
-            ParallelEngine::builder(&ds)
-                .threads(t)
-                .shards(t)
-                .bins(bins.clone())
-                .build()
+        // The untimed first batch fills the scratch pool and checks every
+        // answer against the sequential one.
+        let answers = engine.query_many(&batch, t).expect("BIG/IBIG batch");
+        for (q, got) in batch.iter().zip(&answers) {
+            let want = match q.algorithm {
+                Algorithm::Big => &seq_big,
+                _ => &seq_ibig,
+            };
+            assert_eq!(
+                got.entries(),
+                want.entries(),
+                "{:?} batch answer diverged from sequential (threads={t})",
+                q.algorithm
+            );
+        }
+        let (_, batch_s) = time_best(QUERY_REPS, || {
+            engine.query_many(&batch, t).expect("BIG/IBIG batch")
         });
-        let big_q = EngineQuery::new(k);
-        let ibig_q = EngineQuery::new(k).algorithm(Algorithm::Ibig);
-        // Warm the pools before timing.
-        let warm = engine.query(&big_q);
-        assert_eq!(
-            warm.entries(),
-            seq_big.entries(),
-            "parallel BIG diverged from sequential (threads={t})"
-        );
-        let warm = engine.query(&ibig_q);
-        assert_eq!(
-            warm.entries(),
-            seq_ibig.entries(),
-            "parallel IBIG diverged from sequential (threads={t})"
-        );
-        let (_, big_query_s) = time_best(QUERY_REPS, || engine.query(&big_q));
-        let (_, ibig_query_s) = time_best(QUERY_REPS, || engine.query(&ibig_q));
-        let (_, batch_s) = time_best(QUERY_REPS, || engine.query_many(&batch));
         runs.push(ThreadRun {
             threads: t,
-            build_s,
-            big_query_s,
-            ibig_query_s,
             batch_s,
         });
     }
@@ -390,13 +382,14 @@ fn measure_thread_cell(point: PerfPoint, seed: u64, threads: &[usize]) -> Thread
         missing,
         cardinality,
         k,
+        build_s,
         seq_big_s,
         seq_ibig_s,
         runs,
     }
 }
 
-/// Run the thread-scaling grid, returning the printable table and the
+/// Run the batch fan-out grid, returning the printable table and the
 /// `BENCH_3.json` document.
 pub fn run_threads(scale: Scale, seed: u64, threads: &[usize]) -> (Table, String) {
     let cells: Vec<ThreadCell> = perf_grid(scale)
@@ -405,27 +398,22 @@ pub fn run_threads(scale: Scale, seed: u64, threads: &[usize]) -> (Table, String
         .collect();
 
     let mut t = Table::new(
-        "thread scaling — parallel engine query wall-clock (IND)",
+        "batch fan-out — DynamicEngine::query_many wall-clock (IND)",
         &[
             "N",
             "dims",
             "missing",
             "k",
             "threads",
-            "build (s)",
-            "BIG (s)",
-            "IBIG (s)",
+            "BIG seq (s)",
+            "IBIG seq (s)",
             "batch16 (s)",
-            "BIG vs seq",
-            "BIG vs 1T",
+            "batch vs seq",
+            "batch vs 1T",
         ],
     );
     for c in &cells {
-        let one_t = c
-            .runs
-            .iter()
-            .find(|r| r.threads == 1)
-            .map(|r| r.big_query_s);
+        let one_t = c.runs.iter().find(|r| r.threads == 1).map(|r| r.batch_s);
         for r in &c.runs {
             t.push(vec![
                 c.n.to_string(),
@@ -433,13 +421,12 @@ pub fn run_threads(scale: Scale, seed: u64, threads: &[usize]) -> (Table, String
                 format!("{:.0}%", c.missing * 100.0),
                 c.k.to_string(),
                 r.threads.to_string(),
-                secs(r.build_s),
-                secs(r.big_query_s),
-                secs(r.ibig_query_s),
+                secs(c.seq_big_s),
+                secs(c.seq_ibig_s),
                 secs(r.batch_s),
-                format!("{:.2}x", c.seq_big_s / r.big_query_s),
+                format!("{:.2}x", c.seq_batch_s() / r.batch_s),
                 one_t
-                    .map(|b| format!("{:.2}x", b / r.big_query_s))
+                    .map(|b| format!("{:.2}x", b / r.batch_s))
                     .unwrap_or_else(|| "-".into()),
             ]);
         }
@@ -447,14 +434,14 @@ pub fn run_threads(scale: Scale, seed: u64, threads: &[usize]) -> (Table, String
     (t, threads_to_json(scale, seed, &cells))
 }
 
-/// Hand-rolled JSON for the thread-scaling artifact (offline — no serde).
+/// Hand-rolled JSON for the batch fan-out artifact (offline — no serde).
 fn threads_to_json(scale: Scale, seed: u64, cells: &[ThreadCell]) -> String {
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema\": \"tkd-perf-threads/v1\",\n");
+    s.push_str("  \"schema\": \"tkd-perf-threads/v2\",\n");
     s.push_str("  \"created_by\": \"repro --exp perf --threads\",\n");
     s.push_str(&format!(
         "  \"scale\": \"{}\",\n",
@@ -479,22 +466,18 @@ fn threads_to_json(scale: Scale, seed: u64, cells: &[ThreadCell]) -> String {
             c.n, c.dims, c.missing, c.cardinality, c.k
         ));
         s.push_str(&format!(
-            "      \"sequential\": {{\"big_query_s\": {:.6}, \"ibig_query_s\": {:.6}}},\n",
-            c.seq_big_s, c.seq_ibig_s
+            "      \"build_s\": {:.6},\n      \"sequential\": {{\"big_query_s\": {:.6}, \
+             \"ibig_query_s\": {:.6}}},\n",
+            c.build_s, c.seq_big_s, c.seq_ibig_s
         ));
         s.push_str("      \"threads\": [\n");
         for (j, r) in c.runs.iter().enumerate() {
             s.push_str(&format!(
-                "        {{\"threads\": {}, \"build_s\": {:.6}, \"big_query_s\": {:.6}, \
-                 \"ibig_query_s\": {:.6}, \"batch_s\": {:.6}, \
-                 \"big_speedup_vs_seq\": {:.3}, \"ibig_speedup_vs_seq\": {:.3}}}{}\n",
+                "        {{\"threads\": {}, \"batch_s\": {:.6}, \
+                 \"batch_speedup_vs_seq\": {:.3}}}{}\n",
                 r.threads,
-                r.build_s,
-                r.big_query_s,
-                r.ibig_query_s,
                 r.batch_s,
-                c.seq_big_s / r.big_query_s,
-                c.seq_ibig_s / r.ibig_query_s,
+                c.seq_batch_s() / r.batch_s,
                 if j + 1 < c.runs.len() { "," } else { "" }
             ));
         }
@@ -648,16 +631,16 @@ mod tests {
 
     #[test]
     fn thread_cell_parity_and_json_shape() {
-        // A miniature cell: the engine must agree with the sequential
-        // baselines at every thread count (asserted inside), and the JSON
-        // must carry the schema, hardware, and speedup fields.
+        // A miniature cell: every batch answer must agree with the
+        // sequential one at every thread count (asserted inside), and the
+        // JSON must carry the schema, hardware, and speedup fields.
         let cell = measure_thread_cell((700, 4, 0.2, 8), 11, &[1, 2]);
         assert_eq!(cell.runs.len(), 2);
         let json = threads_to_json(Scale::Quick, 11, &[cell]);
         for needle in [
-            "tkd-perf-threads/v1",
+            "tkd-perf-threads/v2",
             "available_parallelism",
-            "big_speedup_vs_seq",
+            "batch_speedup_vs_seq",
             "\"threads\": 2",
             "batch_s",
         ] {

@@ -6,13 +6,11 @@
 //!
 //! A dominating score is a sum of pairwise comparisons, so for *any*
 //! partition of the live rows into shards, `score(o) = Σⱼ partialⱼ(o)`
-//! where `partialⱼ(o)` counts the shard-j rows `o` dominates. The
-//! [`parallel`](crate::parallel) module exploits this inside one address
-//! space by slicing global bit vectors per shard; this module re-derives
-//! every per-shard term from **local state only** — the shard's dense
-//! live rows, its own indexes, and incomparable sets computed from local
-//! masks — so a shard worker in another process needs nothing global to
-//! score a candidate shipped as raw dimension values.
+//! where `partialⱼ(o)` counts the shard-j rows `o` dominates. This module
+//! derives every per-shard term from **local state only** — the shard's
+//! dense live rows, its own indexes, and incomparable sets computed from
+//! local masks — so a shard worker in another process needs nothing
+//! global to score a candidate shipped as raw dimension values.
 //!
 //! The division of labor over the wire:
 //!
@@ -46,7 +44,15 @@ use tkd_bitvec::BitVec;
 use tkd_index::{BinnedBitmapIndex, BitmapIndex};
 use tkd_model::{Dataset, DimMask, ObjectId};
 
-pub use crate::parallel::Outcome;
+/// The verdict on one candidate that the coordinator assembles from shard
+/// answers before replaying it in queue order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// Pruned by Heuristic 2 (the summed `|Q|` bounds are `≤ τ + 1`).
+    PrunedBitmap,
+    /// Exact score, summed over the shards' partials.
+    Score(usize),
+}
 
 /// One candidate as it crosses the wire: its raw per-dimension values
 /// plus, when the candidate lives in the receiving shard, its dense row
@@ -90,7 +96,7 @@ impl ShardScorer {
     /// Build with an explicit per-dimension bin count.
     pub fn with_bins(ds: Dataset, bins: usize) -> ShardScorer {
         let n = ds.len();
-        let index = BitmapIndex::build_range(&ds, 0, n);
+        let index = BitmapIndex::build(&ds);
         let binned = BinnedBitmapIndex::build(&ds, &vec![bins.max(1); ds.dims()]);
         ShardScorer {
             index,
@@ -153,9 +159,9 @@ impl ShardScorer {
     }
 
     /// BIG phase 2: the exact per-shard partial score — the number of
-    /// shard rows the candidate dominates. Mirrors one shard term of
-    /// [`parallel`](crate::parallel)'s sharded BIG-Score, with the
-    /// incomparable window computed locally instead of sliced globally.
+    /// shard rows the candidate dominates: [`crate::big`]'s BIG-Score
+    /// restricted to the shard, with the incomparable window computed
+    /// from local masks.
     pub fn big_partial(&mut self, cand: &ShardCandidate) -> usize {
         let mask = Self::mask_of(&cand.values);
         let f = self.f_window(mask).clone();
@@ -185,7 +191,7 @@ impl ShardScorer {
 
     /// IBIG phase 2: the exact per-shard partial score off the binned
     /// index — fused `Q`/`P`, then B+-tree probes resolving the binned
-    /// residue, exactly one shard term of the sharded IBIG-Score. No
+    /// residue: [`crate::ibig`]'s IBIG-Score restricted to the shard. No
     /// Heuristic-3 early exit (the budget is global; see module docs).
     pub fn ibig_partial(&mut self, cand: &ShardCandidate) -> usize {
         let mask = Self::mask_of(&cand.values);
@@ -245,7 +251,7 @@ impl ShardScorer {
 /// and τ, consumed in queue order from per-candidate [`Outcome`]s the
 /// coordinator assembled out of shard answers.
 ///
-/// The discipline (identical to the in-process merger):
+/// The discipline (the sequential driver's loop, step by step):
 /// 1. at each queue position, check [`h1_prunes`](Self::h1_prunes)
 ///    against the candidate's `MaxScore` — if it fires, call
 ///    [`terminate`](Self::terminate) and stop (Heuristic-1 position is
@@ -287,8 +293,7 @@ impl ClusterReplay {
     /// Replay one candidate's outcome in queue order.
     pub fn absorb(&mut self, id: ObjectId, outcome: Outcome) {
         match outcome {
-            Outcome::PrunedBound | Outcome::PrunedBitmap => self.stats.h2_pruned += 1,
-            Outcome::PrunedPartial => self.stats.h3_pruned += 1,
+            Outcome::PrunedBitmap => self.stats.h2_pruned += 1,
             Outcome::Score(s) => {
                 self.stats.scored += 1;
                 self.top.offer(id, s);
@@ -327,10 +332,42 @@ pub fn shard_rows(ds: &Dataset, lo: usize, hi: usize) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::ShardPlan;
     use crate::preprocess::Preprocessed;
     use crate::query::{Algorithm, TkdQuery};
     use tkd_model::fixtures;
+
+    /// A balanced partition of `n` rows into `shards` contiguous,
+    /// non-empty ranges (one empty range for an empty dataset).
+    struct ShardPlan {
+        starts: Vec<usize>,
+    }
+
+    impl ShardPlan {
+        fn new(n: usize, shards: usize) -> Self {
+            let count = shards.clamp(1, n.max(1));
+            ShardPlan {
+                starts: (0..=count).map(|j| j * n / count).collect(),
+            }
+        }
+
+        fn count(&self) -> usize {
+            self.starts.len() - 1
+        }
+
+        fn lo(&self, j: usize) -> usize {
+            self.starts[j]
+        }
+
+        fn hi(&self, j: usize) -> usize {
+            self.starts[j + 1]
+        }
+
+        fn local_of(&self, j: usize, id: usize) -> Option<usize> {
+            (self.lo(j)..self.hi(j))
+                .contains(&id)
+                .then(|| id - self.lo(j))
+        }
+    }
 
     fn mix(seed: &mut u64) -> u64 {
         *seed = seed.wrapping_add(0x9E3779B97F4A7C15);

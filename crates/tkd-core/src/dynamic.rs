@@ -27,18 +27,18 @@
 //! (an equal score never displaces, Algorithm 2 line 7), so a merely
 //! *sound* bound would change which of the tied objects survives.
 //! `tests/dynamic_parity.rs` pins this equivalence across randomized op
-//! sequences × missing rates × {BIG, IBIG} × thread counts.
+//! sequences × missing rates × {BIG, IBIG} × batch fan-out widths.
 //!
 //! Queries run through the **unchanged** scratch paths:
 //! [`crate::big::big_with_scratch`] / [`crate::ibig::ibig_with_scratch`]
 //! over borrowed contexts ([`BigContext::from_prebuilt`],
-//! [`IbigContext::from_prebuilt_dense`]), and `threads > 1` through the
-//! replay-merged parallel engine over
-//! [`ShardedBigContext::from_prebuilt`] /
-//! [`ShardedIbigContext::from_prebuilt_dense`]. Dynamic IBIG scores off
-//! dense binned columns — run-length codecs cannot absorb in-place bit
-//! flips, so the dynamic store trades the paper's compression for `O(1)`
-//! bit maintenance (compaction re-quantiles and could re-compress).
+//! [`IbigContext::from_prebuilt_dense`]). [`DynamicEngine::query_many`]
+//! fans a batch out across worker threads, one whole query at a time per
+//! worker, each worker on its own pooled [`ScratchSpace`]. Dynamic IBIG
+//! scores off dense binned columns — run-length codecs cannot absorb
+//! in-place bit flips, so the dynamic store trades the paper's
+//! compression for `O(1)` bit maintenance (compaction re-quantiles and
+//! could re-compress).
 //!
 //! Deletes tombstone; a [`CompactionPolicy`] rebuilds the whole store —
 //! re-quantiling bins and renumbering slots — once the tombstone fraction
@@ -49,7 +49,6 @@
 
 use crate::big::{self, BigContext};
 use crate::ibig::{self, IbigContext};
-use crate::parallel::{parallel_big, parallel_ibig, ShardedBigContext, ShardedIbigContext};
 use crate::preprocess::{incomparable_bitvecs, Preprocessed};
 use crate::query::{shuffle_ties, Algorithm, BinChoice, TieBreak};
 use crate::result::{ResultEntry, TkdResult};
@@ -57,9 +56,10 @@ use crate::scratch::ScratchSpace;
 use crate::standing::{
     self, Notification, StandingId, StandingQuery, StandingSpec, StandingState, StandingStats,
 };
-use crate::EngineQuery;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use tkd_bitvec::{BitVec, Concise, Tombstones};
 use tkd_index::{cost, BinnedBitmapIndex, BitmapIndex};
 use tkd_model::{stats, Dataset, DimMask, ModelError, ObjectId};
@@ -93,6 +93,41 @@ impl CompactionPolicy {
             max_tombstone_fraction: 2.0,
             min_dead: usize::MAX,
         }
+    }
+}
+
+/// One query against a [`DynamicEngine`]: `k`, the algorithm to answer
+/// it with, and the tie handling among candidates sharing the k-th score.
+#[derive(Clone, Debug)]
+pub struct EngineQuery {
+    /// How many dominating objects to return.
+    pub k: usize,
+    /// Which algorithm answers the query (the engine serves BIG and IBIG).
+    pub algorithm: Algorithm,
+    /// Tie handling (see [`TieBreak`]).
+    pub tie: TieBreak,
+}
+
+impl EngineQuery {
+    /// A top-`k` query answered by BIG (the engine default).
+    pub fn new(k: usize) -> Self {
+        EngineQuery {
+            k,
+            algorithm: Algorithm::Big,
+            tie: TieBreak::ById,
+        }
+    }
+
+    /// Select the algorithm.
+    pub fn algorithm(mut self, a: Algorithm) -> Self {
+        self.algorithm = a;
+        self
+    }
+
+    /// Select tie handling.
+    pub fn tie_break(mut self, t: TieBreak) -> Self {
+        self.tie = t;
+        self
     }
 }
 
@@ -339,7 +374,10 @@ pub struct DynamicEngine {
     missing: Vec<usize>,
     /// The queue needs a re-sort before the next query.
     queue_dirty: bool,
-    scratch: ScratchSpace,
+    /// One scratch per batch worker, reused across calls and resized to
+    /// the slot count on demand (`fit_scratch`). Entry 0 also serves
+    /// standing-query maintenance.
+    scratch: Vec<ScratchSpace>,
     bins: BinChoice,
     policy: CompactionPolicy,
     epoch: u64,
@@ -392,7 +430,7 @@ impl DynamicEngine {
             t: Vec::new(),
             missing: vec![0; dims],
             queue_dirty: false,
-            scratch: ScratchSpace::new(n),
+            scratch: vec![ScratchSpace::new(n)],
             bins: options.bins,
             policy: options.policy,
             epoch: 0,
@@ -883,9 +921,7 @@ impl DynamicEngine {
             return Vec::new();
         }
         self.refresh();
-        if self.scratch.n() != self.ds.len() {
-            self.scratch = ScratchSpace::new(self.ds.len());
-        }
+        self.fit_scratch(1);
         // Invalidate exactly the dirtied cache entries, counting how much
         // of the *live* set was touched (dead dirt cannot inflate the
         // fraction past 1.0, so `fallback_fraction = 1.0` never falls
@@ -966,9 +1002,7 @@ impl DynamicEngine {
     /// per-batch maintenance uses (registration and the fallback path).
     fn standing_answer_fresh(&mut self, spec: &StandingSpec) -> Vec<ResultEntry> {
         self.refresh();
-        if self.scratch.n() != self.ds.len() {
-            self.scratch = ScratchSpace::new(self.ds.len());
-        }
+        self.fit_scratch(1);
         if spec.is_full_space() {
             self.standing_requery_full(spec)
         } else {
@@ -987,7 +1021,7 @@ impl DynamicEngine {
             spec.algorithm,
             spec.k,
             &mut self.standing.cache,
-            &mut self.scratch,
+            &mut self.scratch[0],
         );
         self.slots_to_stable(slots)
     }
@@ -1002,7 +1036,7 @@ impl DynamicEngine {
             spec.algorithm,
             spec.k,
             &mut self.standing.cache,
-            &mut self.scratch,
+            &mut self.scratch[0],
         );
         self.slots_to_stable(slots)
     }
@@ -1021,139 +1055,113 @@ impl DynamicEngine {
 
     // ----- queries --------------------------------------------------------
 
-    /// Answer a query single-threaded through the sequential scratch
-    /// engines. Entry ids are **stable ids**.
+    /// Answer one query through the sequential scratch engines. Entry
+    /// ids are **stable ids**.
     ///
     /// # Errors
     /// [`UpdateError::UnsupportedAlgorithm`] for anything but BIG/IBIG.
     pub fn query(&mut self, q: &EngineQuery) -> Result<TkdResult, UpdateError> {
-        self.query_threads(q, 1)
+        let mut answers = self.query_many(std::slice::from_ref(q), 1)?;
+        Ok(answers.pop().expect("one answer per query"))
     }
 
-    /// Answer a query with `threads` workers cooperating through the
-    /// replay-merged parallel engine (identical results to
-    /// [`DynamicEngine::query`] — the same differential guarantee the
-    /// static parallel engine carries).
-    ///
-    /// # Errors
-    /// [`UpdateError::UnsupportedAlgorithm`] for anything but BIG/IBIG.
-    pub fn query_threads(
-        &mut self,
-        q: &EngineQuery,
-        threads: usize,
-    ) -> Result<TkdResult, UpdateError> {
-        if !matches!(q.algorithm, Algorithm::Big | Algorithm::Ibig) {
-            return Err(UpdateError::UnsupportedAlgorithm(q.algorithm));
-        }
-        self.refresh();
-        if self.scratch.n() != self.ds.len() {
-            self.scratch = ScratchSpace::new(self.ds.len());
-        }
-        let threads = threads.max(1);
-        let result = match (q.algorithm, threads) {
-            (Algorithm::Big, 1) => {
-                let ctx = BigContext::from_prebuilt(&self.ds, &self.index, &self.pre);
-                big::big_with_scratch(&ctx, q.k, &mut self.scratch)
-            }
-            (Algorithm::Big, t) => {
-                let ctx = ShardedBigContext::from_prebuilt(&self.ds, &self.index, &self.pre);
-                parallel_big(&ctx, q.k, t)
-            }
-            (Algorithm::Ibig, 1) => {
-                let ctx: IbigContext<'_, Concise> =
-                    IbigContext::from_prebuilt_dense(&self.ds, &self.binned, &self.pre);
-                ibig::ibig_with_scratch(&ctx, q.k, &mut self.scratch)
-            }
-            (Algorithm::Ibig, t) => {
-                let ctx: ShardedIbigContext<'_, Concise> =
-                    ShardedIbigContext::from_prebuilt_dense(&self.ds, &self.binned, &self.pre);
-                parallel_ibig(&ctx, q.k, t)
-            }
-            _ => unreachable!("guarded above"),
-        };
-        // Slot ids → stable ids. `stable_of` is strictly increasing, so
-        // the (score desc, id asc) entry order is preserved verbatim.
-        let stats = result.stats;
-        let entries: Vec<ResultEntry> = result
-            .into_iter()
-            .map(|e| ResultEntry {
-                id: self.stable_of[e.id as usize],
-                score: e.score,
-            })
-            .collect();
-        let mapped = TkdResult::new_ordered(entries, stats);
-        Ok(match q.tie {
-            TieBreak::ById => mapped,
-            TieBreak::Random(seed) => shuffle_ties(mapped, seed),
-        })
-    }
-
-    /// Answer a batch of concurrent queries against the live state —
-    /// the coalescing path of the network server: the borrowed
-    /// single-shard contexts are built **once** per batch (O(1) in the
-    /// dataset) and the batch fans out worker-per-query through
-    /// [`crate::ParallelEngine::query_many`]. Results come back in
-    /// batch order, each bit-identical (entries, scores, tie order) to
-    /// running [`DynamicEngine::query`] alone, and entry ids are
-    /// **stable ids**.
+    /// Answer a batch of queries against the live state — the coalescing
+    /// path of the network server. The batch fans out over up to
+    /// `threads` scoped workers; each worker takes whole queries in turn
+    /// and answers them on its own pooled [`ScratchSpace`], so no batch
+    /// allocates anything that grows with the dataset once the pool is
+    /// warm. Results come back in batch order, each bit-identical
+    /// (entries, scores, tie order) to [`DynamicEngine::query`] alone,
+    /// and entry ids are **stable ids**.
     ///
     /// # Errors
     /// [`UpdateError::UnsupportedAlgorithm`] if any query names anything
-    /// but BIG/IBIG (the batch is rejected whole; the engine state is
-    /// untouched either way — queries never mutate).
+    /// but BIG/IBIG (the batch is rejected whole; queries never mutate
+    /// the logical state).
     pub fn query_many(
         &mut self,
         queries: &[EngineQuery],
         threads: usize,
     ) -> Result<Vec<TkdResult>, UpdateError> {
-        for q in queries {
-            if !matches!(q.algorithm, Algorithm::Big | Algorithm::Ibig) {
-                return Err(UpdateError::UnsupportedAlgorithm(q.algorithm));
-            }
+        if let Some(q) = queries
+            .iter()
+            .find(|q| !matches!(q.algorithm, Algorithm::Big | Algorithm::Ibig))
+        {
+            return Err(UpdateError::UnsupportedAlgorithm(q.algorithm));
         }
         if queries.is_empty() {
             return Ok(Vec::new());
         }
         self.refresh();
-        let engine = crate::ParallelEngine::from_prebuilt(
-            &self.ds,
-            &self.index,
-            &self.binned,
-            &self.pre,
-            threads,
-        );
-        // Run with the identity tie-break and map slot → stable ids
-        // first, applying the requested tie handling after the mapping —
-        // the exact order of operations of `query_threads`, so the two
-        // paths stay bit-identical.
-        let plain: Vec<EngineQuery> = queries
-            .iter()
-            .map(|q| EngineQuery {
-                k: q.k,
-                algorithm: q.algorithm,
-                tie: TieBreak::ById,
-            })
-            .collect();
-        let results = engine.query_many(&plain);
-        Ok(queries
-            .iter()
-            .zip(results)
-            .map(|(q, r)| {
-                let stats = r.stats;
-                let entries: Vec<ResultEntry> = r
-                    .into_iter()
-                    .map(|e| ResultEntry {
-                        id: self.stable_of[e.id as usize],
-                        score: e.score,
-                    })
-                    .collect();
-                let mapped = TkdResult::new_ordered(entries, stats);
-                match q.tie {
-                    TieBreak::ById => mapped,
-                    TieBreak::Random(seed) => shuffle_ties(mapped, seed),
-                }
-            })
+        let workers = threads.clamp(1, queries.len());
+        self.fit_scratch(workers);
+        let big_ctx = BigContext::from_prebuilt(&self.ds, &self.index, &self.pre);
+        let ibig_ctx: IbigContext<'_, Concise> =
+            IbigContext::from_prebuilt_dense(&self.ds, &self.binned, &self.pre);
+        let stable_of = &self.stable_of;
+        let answer = |q: &EngineQuery, scratch: &mut ScratchSpace| {
+            let result = match q.algorithm {
+                Algorithm::Big => big::big_with_scratch(&big_ctx, q.k, scratch),
+                _ => ibig::ibig_with_scratch(&ibig_ctx, q.k, scratch),
+            };
+            // Slot ids → stable ids. `stable_of` is strictly increasing,
+            // so the (score desc, id asc) entry order is preserved.
+            let stats = result.stats;
+            let entries = result
+                .into_iter()
+                .map(|e| ResultEntry {
+                    id: stable_of[e.id as usize],
+                    score: e.score,
+                })
+                .collect();
+            let mapped = TkdResult::new_ordered(entries, stats);
+            match q.tie {
+                TieBreak::ById => mapped,
+                TieBreak::Random(seed) => shuffle_ties(mapped, seed),
+            }
+        };
+        let scratch = &mut self.scratch[..workers];
+        if workers == 1 {
+            return Ok(queries.iter().map(|q| answer(q, &mut scratch[0])).collect());
+        }
+        // One slot per query, so the batch's own bookkeeping does not
+        // depend on how the queries fell to the workers.
+        let results: Vec<OnceLock<TkdResult>> = queries.iter().map(|_| OnceLock::new()).collect();
+        // The cursor only hands out indices (Relaxed is enough); answers
+        // are published through the `OnceLock` slots and the scope's join.
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for scratch in scratch.iter_mut() {
+                let (answer, results, next) = (&answer, &results, &next);
+                s.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(q) = queries.get(i) else { break };
+                    results[i]
+                        .set(answer(q, scratch))
+                        .expect("each query is claimed once");
+                });
+            }
+        });
+        Ok(results
+            .into_iter()
+            .map(|r| r.into_inner().expect("every query answered"))
             .collect())
+    }
+
+    /// Make the first `count` pooled scratches exist and fit the current
+    /// slot count. Scratches only ever grow in number; each is
+    /// reallocated only when the slot count has changed since its last
+    /// use.
+    fn fit_scratch(&mut self, count: usize) {
+        let n = self.ds.len();
+        for s in self.scratch.iter_mut().take(count) {
+            if s.n() != n {
+                *s = ScratchSpace::new(n);
+            }
+        }
+        while self.scratch.len() < count {
+            self.scratch.push(ScratchSpace::new(n));
+        }
     }
 
     // ----- persistence ----------------------------------------------------
@@ -1230,15 +1238,14 @@ impl DynamicEngine {
         } = parts;
         let dims = ds.dims();
         let n = ds.len();
-        if index.n() != n || index.dims() != dims || index.base() != 0 {
+        if index.n() != n || index.dims() != dims {
             return Err(format!(
-                "bitmap index shape ({} × {}, base {}) disagrees with the dataset ({n} × {dims})",
+                "bitmap index shape ({} × {}) disagrees with the dataset ({n} × {dims})",
                 index.n(),
-                index.dims(),
-                index.base()
+                index.dims()
             ));
         }
-        if binned.n() != n || binned.dims() != dims || binned.base() != 0 {
+        if binned.n() != n || binned.dims() != dims {
             return Err(format!(
                 "binned index shape ({} × {}) disagrees with the dataset ({n} × {dims})",
                 binned.n(),
@@ -1359,7 +1366,7 @@ impl DynamicEngine {
             t,
             missing,
             queue_dirty: false,
-            scratch: ScratchSpace::new(n),
+            scratch: vec![ScratchSpace::new(n)],
             bins,
             policy,
             epoch,
@@ -1385,7 +1392,7 @@ impl DynamicEngine {
         self.live = Tombstones::all_live(n);
         self.slot_of = stable.iter().enumerate().map(|(s, &id)| (id, s)).collect();
         self.stable_of = stable;
-        self.scratch = ScratchSpace::new(n);
+        self.scratch = vec![ScratchSpace::new(n)];
         self.rebuild_artifacts();
         self.epoch += 1;
         self.stats.compactions += 1;
@@ -1579,15 +1586,10 @@ mod tests {
 
     /// Rebuild-from-scratch oracle: run the static engines over the live
     /// snapshot and translate row positions to stable ids.
-    fn oracle(
-        engine: &DynamicEngine,
-        k: usize,
-        alg: Algorithm,
-        threads: usize,
-    ) -> Vec<(ObjectId, usize)> {
+    fn oracle(engine: &DynamicEngine, k: usize, alg: Algorithm) -> Vec<(ObjectId, usize)> {
         let snap = engine.snapshot();
         let ids = engine.live_ids();
-        let r = TkdQuery::new(k).algorithm(alg).threads(threads).run(&snap);
+        let r = TkdQuery::new(k).algorithm(alg).run(&snap);
         r.iter().map(|e| (ids[e.id as usize], e.score)).collect()
     }
 
@@ -1614,14 +1616,14 @@ mod tests {
             .unwrap();
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             let got = dynamic_entries(&mut engine, 2, alg);
-            assert_eq!(got, oracle(&engine, 2, alg, 1), "{alg:?}");
+            assert_eq!(got, oracle(&engine, 2, alg), "{alg:?}");
             assert_eq!(got[0].0, star, "{alg:?}");
         }
         // Delete it: the old answer returns.
         engine.delete(star).unwrap();
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             let got = dynamic_entries(&mut engine, 2, alg);
-            assert_eq!(got, oracle(&engine, 2, alg, 1), "{alg:?}");
+            assert_eq!(got, oracle(&engine, 2, alg), "{alg:?}");
         }
         assert_eq!(
             engine.query(&EngineQuery::new(2)).unwrap().kth_score(),
@@ -1637,7 +1639,7 @@ mod tests {
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             assert_eq!(
                 dynamic_entries(&mut engine, 3, alg),
-                oracle(&engine, 3, alg, 1),
+                oracle(&engine, 3, alg),
                 "{alg:?}"
             );
         }
@@ -1680,7 +1682,7 @@ mod tests {
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             assert_eq!(
                 dynamic_entries(&mut engine, 2, alg),
-                oracle(&engine, 2, alg, 1),
+                oracle(&engine, 2, alg),
                 "{alg:?}"
             );
         }
@@ -1790,7 +1792,7 @@ mod tests {
         assert_eq!(engine.tombstones(), 0);
         let after: Vec<_> = dynamic_entries(&mut engine, 5, Algorithm::Big);
         assert_eq!(before, after);
-        assert_eq!(after, oracle(&engine, 5, Algorithm::Big, 1));
+        assert_eq!(after, oracle(&engine, 5, Algorithm::Big));
     }
 
     #[test]
@@ -1841,7 +1843,7 @@ mod tests {
         assert_eq!(engine.len(), 2);
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             let got = dynamic_entries(&mut engine, 2, alg);
-            assert_eq!(got, oracle(&engine, 2, alg, 1), "{alg:?}");
+            assert_eq!(got, oracle(&engine, 2, alg), "{alg:?}");
             assert_eq!(got[0], (a, 1), "{alg:?}: a dominates b (smaller wins)");
         }
         let _ = b;
@@ -1857,7 +1859,7 @@ mod tests {
         assert!(r.contains(0) && r.contains(dup));
         assert_eq!(
             dynamic_entries(&mut engine, 2, Algorithm::Ibig),
-            oracle(&engine, 2, Algorithm::Ibig, 1)
+            oracle(&engine, 2, Algorithm::Ibig)
         );
     }
 
@@ -1869,15 +1871,23 @@ mod tests {
             .unwrap();
         engine.delete(2).unwrap();
         engine.update_value(10, 3, Some(6.0)).unwrap();
+        let mut batch = Vec::new();
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             for k in [1usize, 3, 10, 30] {
-                let seq = engine.query(&EngineQuery::new(k).algorithm(alg)).unwrap();
-                for threads in [2usize, 4] {
-                    let par = engine
-                        .query_threads(&EngineQuery::new(k).algorithm(alg), threads)
-                        .unwrap();
-                    assert_eq!(par.entries(), seq.entries(), "{alg:?} k={k} t={threads}");
-                }
+                batch.push(EngineQuery::new(k).algorithm(alg));
+                batch.push(
+                    EngineQuery::new(k)
+                        .algorithm(alg)
+                        .tie_break(TieBreak::Random(k as u64)),
+                );
+            }
+        }
+        let seq: Vec<TkdResult> = batch.iter().map(|q| engine.query(q).unwrap()).collect();
+        for threads in [1usize, 2, 4, 64] {
+            let got = engine.query_many(&batch, threads).unwrap();
+            assert_eq!(got.len(), batch.len());
+            for ((q, g), s) in batch.iter().zip(&got).zip(&seq) {
+                assert_eq!(g.entries(), s.entries(), "{q:?} t={threads}");
             }
         }
     }
@@ -1902,7 +1912,7 @@ mod tests {
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             for k in [0usize, 1, n - 1, n, n + 5] {
                 let got = dynamic_entries(&mut engine, k, alg);
-                assert_eq!(got, oracle(&engine, k, alg, 1), "{alg:?} k={k}");
+                assert_eq!(got, oracle(&engine, k, alg), "{alg:?} k={k}");
             }
         }
     }
@@ -2034,7 +2044,7 @@ mod tests {
                 .map(|e| (ids[e.id as usize], e.score))
                 .collect()
         } else {
-            oracle(engine, spec.k, spec.algorithm, 1)
+            oracle(engine, spec.k, spec.algorithm)
         };
         entries
             .into_iter()

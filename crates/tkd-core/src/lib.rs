@@ -16,10 +16,12 @@
 //! (Definitions 2–3) and a [`PruneStats`] describing how much work each
 //! heuristic saved (the paper's Fig. 18).
 //!
-//! Beyond the paper, the [`parallel`] module shards BIG/IBIG across
-//! worker threads with a shared pruning threshold τ (score- and
-//! order-identical to the sequential runs), and [`engine`] wraps it in a
-//! multi-user [`ParallelEngine`] with a batched `query_many` API.
+//! Beyond the paper, [`DynamicEngine`] maintains the BIG/IBIG artifacts
+//! under inserts, deletes and cell updates, and answers batches of
+//! queries with `query_many`, fanned out across worker threads on the
+//! same sequential scratch paths (one pooled [`ScratchSpace`] per
+//! worker). [`cluster`] scores shards from local state for the
+//! multi-process coordinator.
 //!
 //! The ergonomic entry point is [`TkdQuery`]:
 //!
@@ -44,13 +46,11 @@ pub mod big;
 pub mod cluster;
 pub mod complete_baseline;
 pub mod dynamic;
-pub mod engine;
 pub mod esb;
 pub mod ibig;
 pub mod maxscore;
 pub mod mfd;
 pub mod naive;
-pub mod parallel;
 pub mod preprocess;
 mod query;
 mod result;
@@ -63,10 +63,8 @@ pub mod variants;
 pub use cluster::{ClusterReplay, ShardCandidate, ShardScorer};
 pub use dynamic::{
     BatchReport, CompactionPolicy, DynamicEngine, DynamicOptions, DynamicParts, DynamicPartsRef,
-    StorageReport, UpdateError, UpdateOp, UpdateStats,
+    EngineQuery, StorageReport, UpdateError, UpdateOp, UpdateStats,
 };
-pub use engine::{EngineQuery, ParallelEngine};
-pub use parallel::{parallel_big, parallel_ibig, ShardPlan, ShardedBigContext, ShardedIbigContext};
 pub use preprocess::Preprocessed;
 pub use query::{Algorithm, BinChoice, TieBreak, TkdQuery};
 pub use result::{ResultEntry, TkdResult};

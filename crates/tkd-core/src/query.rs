@@ -1,7 +1,7 @@
 //! The unified query API: pick an algorithm, run, get a [`TkdResult`].
 
 use crate::result::TkdResult;
-use crate::{big, esb, ibig, naive, parallel, ubb};
+use crate::{big, esb, ibig, naive, ubb};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tkd_index::cost;
@@ -72,7 +72,6 @@ pub struct TkdQuery {
     algorithm: Algorithm,
     bins: BinChoice,
     tie: TieBreak,
-    threads: usize,
 }
 
 impl TkdQuery {
@@ -84,7 +83,6 @@ impl TkdQuery {
             algorithm: Algorithm::Big,
             bins: BinChoice::Auto,
             tie: TieBreak::ById,
-            threads: 1,
         }
     }
 
@@ -106,18 +104,6 @@ impl TkdQuery {
         self
     }
 
-    /// Worker thread count (default 1 = the sequential engines). With
-    /// more than one thread, BIG and IBIG route through the sharded
-    /// parallel engine of [`crate::parallel`] — score- and
-    /// order-identical to the sequential run — using `threads` shards;
-    /// the other algorithms stay sequential. For serving many queries
-    /// against one dataset, prefer [`crate::engine::ParallelEngine`],
-    /// which builds the sharded contexts once.
-    pub fn threads(mut self, t: usize) -> Self {
-        self.threads = t.max(1);
-        self
-    }
-
     /// The query parameter `k`.
     pub fn k(&self) -> usize {
         self.k
@@ -129,21 +115,8 @@ impl TkdQuery {
             Algorithm::Naive => naive::naive(ds, self.k),
             Algorithm::Esb => esb::esb(ds, self.k),
             Algorithm::Ubb => ubb::ubb(ds, self.k),
-            Algorithm::Big if self.threads > 1 => {
-                let ctx = parallel::ShardedBigContext::build(ds, self.threads);
-                parallel::parallel_big(&ctx, self.k, self.threads)
-            }
             Algorithm::Big => big::big(ds, self.k),
-            Algorithm::Ibig => {
-                let bins = self.resolve_bins(ds);
-                if self.threads > 1 {
-                    let ctx: parallel::ShardedIbigContext<'_> =
-                        parallel::ShardedIbigContext::build(ds, &bins, self.threads);
-                    parallel::parallel_ibig(&ctx, self.k, self.threads)
-                } else {
-                    ibig::ibig_with_bins(ds, self.k, &bins)
-                }
-            }
+            Algorithm::Ibig => ibig::ibig_with_bins(ds, self.k, &self.resolve_bins(ds)),
         };
         match self.tie {
             TieBreak::ById => result,

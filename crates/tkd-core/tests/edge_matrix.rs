@@ -1,6 +1,6 @@
-//! The shared k-edge matrix: every algorithm — the five sequential ones,
-//! the sharded parallel paths, and the serving engine — must behave
-//! identically at the awkward corners of the query space:
+//! The shared k-edge matrix: every algorithm — the five sequential ones
+//! and the dynamic engine's batch path — must behave identically at the
+//! awkward corners of the query space:
 //!
 //! * `k = 0` (empty result, nothing scored),
 //! * `k = n − 1`, `k = n`, `k = n + 5` (full or over-full result),
@@ -10,10 +10,7 @@
 //! This test supersedes the per-module `k_zero_is_empty` checks that used
 //! to live in `naive.rs` / `esb.rs` / `ubb.rs`.
 
-use tkd_core::{
-    parallel_big, parallel_ibig, Algorithm, EngineQuery, ParallelEngine, ShardedBigContext,
-    ShardedIbigContext, TkdQuery,
-};
+use tkd_core::{Algorithm, DynamicEngine, EngineQuery, TkdQuery};
 use tkd_model::{fixtures, Dataset};
 
 /// Deterministic incomplete dataset (splitmix-style hash).
@@ -67,14 +64,15 @@ fn edge_ks(n: usize) -> Vec<usize> {
     ks
 }
 
-/// Every algorithm (sequential, parallel, engine) returns the same score
-/// vector as Naive on every edge dataset × edge k — and the k = 0 /
-/// empty-dataset cells return empty results without panicking.
+/// Every algorithm returns the same score vector as Naive on every edge
+/// dataset × edge k, the dynamic engine's 2-worker batches return the
+/// sequential BIG/IBIG entries — and the k = 0 / empty-dataset cells
+/// return empty results without panicking.
 #[test]
 fn k_edge_matrix_all_algorithms_agree() {
     for (name, ds) in edge_datasets() {
         let n = ds.len();
-        let engine = ParallelEngine::builder(&ds).threads(2).shards(2).build();
+        let mut engine = DynamicEngine::new(ds.clone());
         for k in edge_ks(n) {
             let reference = TkdQuery::new(k).algorithm(Algorithm::Naive).run(&ds);
             assert_eq!(reference.len(), k.min(n), "naive size {name} k={k}");
@@ -85,22 +83,12 @@ fn k_edge_matrix_all_algorithms_agree() {
                 // Sequential path.
                 let r = TkdQuery::new(k).algorithm(alg).run(&ds);
                 assert_eq!(r.scores(), reference.scores(), "{name} {alg:?} k={k}");
-                // Parallel path (2 threads) for the bitmap engines.
+                // Engine batch path (2 workers) for the bitmap engines.
                 if matches!(alg, Algorithm::Big | Algorithm::Ibig) {
-                    let p = TkdQuery::new(k).algorithm(alg).threads(2).run(&ds);
-                    assert_eq!(
-                        p.scores(),
-                        reference.scores(),
-                        "{name} parallel {alg:?} k={k}"
-                    );
+                    let batch = [EngineQuery::new(k).algorithm(alg), EngineQuery::new(k)];
+                    let e = engine.query_many(&batch, 2).expect("BIG/IBIG");
+                    assert_eq!(e[0].entries(), r.entries(), "{name} engine {alg:?} k={k}");
                 }
-                // Engine path.
-                let e = engine.query(&EngineQuery::new(k).algorithm(alg));
-                assert_eq!(
-                    e.scores(),
-                    reference.scores(),
-                    "{name} engine {alg:?} k={k}"
-                );
             }
         }
     }
@@ -119,18 +107,18 @@ fn k_zero_skips_all_scoring() {
     }
 }
 
-/// Oversized k on the sharded engines: every object is returned exactly
-/// once (no loss, no duplication across shard boundaries).
+/// Oversized k on the engine's batch path: every object is returned
+/// exactly once (no loss, no duplication across workers).
 #[test]
 fn oversized_k_returns_every_object_once() {
     let ds = synth(11, 130, 3, 5, 25);
-    let ctx = ShardedBigContext::build(&ds, 3);
-    let ictx: ShardedIbigContext<'_> = ShardedIbigContext::build_auto(&ds, 3);
+    let mut engine = DynamicEngine::new(ds.clone());
+    let batch = [
+        EngineQuery::new(ds.len() + 9),
+        EngineQuery::new(ds.len() + 9).algorithm(Algorithm::Ibig),
+    ];
     for threads in [1usize, 2, 4] {
-        for r in [
-            parallel_big(&ctx, ds.len() + 9, threads),
-            parallel_ibig(&ictx, ds.len() + 9, threads),
-        ] {
+        for r in engine.query_many(&batch, threads).expect("BIG/IBIG") {
             assert_eq!(r.len(), ds.len(), "threads={threads}");
             let mut ids = r.ids();
             ids.sort_unstable();

@@ -8,21 +8,27 @@
 //! (hundreds of extra allocations here); instead it must be a small
 //! per-query constant (the `TopK` candidate vector and the result).
 //!
+//! The served path gets the same bar in bytes: once its scratch pool is
+//! warm, one `DynamicEngine::query_many` batch allocates the same number
+//! of bytes on a small and a large dataset.
+//!
 //! Everything runs in a single `#[test]` so no concurrent test pollutes
-//! the counter.
+//! the counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use tkd_core::{big, engine, ibig};
+use tkd_core::{big, ibig, Algorithm, DynamicEngine, EngineQuery};
 use tkd_model::Dataset;
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -32,6 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,6 +51,15 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> u64 {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = f();
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    drop(out);
+    after - before
+}
+
+/// Bytes allocated by `f` (including whatever its return value allocates).
+fn bytes_during<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = BYTES.load(Ordering::Relaxed);
+    let out = f();
+    let after = BYTES.load(Ordering::Relaxed);
     drop(out);
     after - before
 }
@@ -148,61 +164,40 @@ fn query_allocations_are_constant_in_dataset_size() {
         "scratch reuse across queries allocated {again} times"
     );
 
-    // --- Parallel engine ---------------------------------------------
-    // After warm-up (pool populated, thread stacks cached), a parallel
-    // query's allocation count must not grow with the dataset size: the
-    // per-candidate scoring paths stay allocation-free, and the slot
-    // buffer + worker scratches come from the engine pool. Thread spawning
-    // itself costs a constant number of allocations per query, so the
-    // ceiling is higher than the sequential one but still n-independent.
-    const PER_PARALLEL_QUERY_CEILING: u64 = 64;
-    let eng_s = engine::ParallelEngine::builder(&small)
-        .threads(2)
-        .shards(2)
-        .build();
-    let eng_l = engine::ParallelEngine::builder(&large)
-        .threads(2)
-        .shards(2)
-        .build();
-    let q = engine::EngineQuery::new(K);
-    for _ in 0..3 {
-        // Warm-up: populate pools, fault in thread-stack caches.
-        assert!(!eng_s.query(&q).is_empty());
-        assert!(!eng_l.query(&q).is_empty());
+    // --- Served batches ----------------------------------------------
+    // `DynamicEngine::query_many` answers each query on a scratch the
+    // engine keeps per worker. Once that pool is warm, a batch allocates
+    // its results, its per-query slots and (with two workers) the thread
+    // spawns — the same bytes whatever the dataset size.
+    let batch: Vec<EngineQuery> = (1..=6)
+        .map(|i| {
+            let alg = if i % 2 == 0 {
+                Algorithm::Big
+            } else {
+                Algorithm::Ibig
+            };
+            EngineQuery::new(i * 4).algorithm(alg)
+        })
+        .collect();
+    let mut dyn_s = DynamicEngine::new(small.clone());
+    let mut dyn_l = DynamicEngine::new(large.clone());
+    for threads in [1usize, 2] {
+        let batch_bytes = |engine: &mut DynamicEngine| -> u64 {
+            for _ in 0..3 {
+                // Warm-up: fill the scratch pool, cache thread stacks.
+                assert_eq!(engine.query_many(&batch, threads).unwrap().len(), 6);
+            }
+            (0..3)
+                .map(|_| bytes_during(|| engine.query_many(&batch, threads).unwrap()))
+                .min()
+                .unwrap()
+        };
+        let b_small = batch_bytes(&mut dyn_s);
+        let b_large = batch_bytes(&mut dyn_l);
+        assert_eq!(
+            b_small, b_large,
+            "query_many batch bytes must not grow with dataset size \
+             (threads {threads}; small: {b_small}, large: {b_large})"
+        );
     }
-    let measure = |f: &dyn Fn() -> tkd_core::TkdResult| -> u64 {
-        (0..3).map(|_| allocs_during(f)).min().unwrap()
-    };
-    let a_small = measure(&|| eng_s.query(&q));
-    let a_large = measure(&|| eng_l.query(&q));
-    assert_eq!(
-        a_small, a_large,
-        "parallel query allocation count must not grow with dataset size \
-         (small: {a_small}, large: {a_large})"
-    );
-    assert!(
-        a_large <= PER_PARALLEL_QUERY_CEILING,
-        "parallel query performed {a_large} allocations \
-         (ceiling {PER_PARALLEL_QUERY_CEILING})"
-    );
-
-    // Batched serving: per-query allocations in `query_many` stay
-    // n-independent too (worker-per-query, pooled scratches).
-    let batch: Vec<engine::EngineQuery> =
-        (1..=6).map(|k| engine::EngineQuery::new(k * 4)).collect();
-    let _ = eng_s.query_many(&batch);
-    let _ = eng_l.query_many(&batch);
-    let b_small = measure(&|| {
-        let r = eng_s.query_many(&batch);
-        r.into_iter().next().unwrap()
-    });
-    let b_large = measure(&|| {
-        let r = eng_l.query_many(&batch);
-        r.into_iter().next().unwrap()
-    });
-    assert_eq!(
-        b_small, b_large,
-        "query_many allocation count must not grow with dataset size \
-         (small: {b_small}, large: {b_large})"
-    );
 }

@@ -61,8 +61,6 @@ pub fn compute_bins(value_counts: &[(f64, usize)], x: usize) -> Vec<f64> {
 pub struct BinnedBitmapIndex {
     n: usize,
     dims: usize,
-    /// First global object id covered (0 for whole-dataset builds).
-    base: usize,
     /// Per dimension: ascending upper boundary of each bin.
     boundaries: Vec<Vec<f64>>,
     /// `columns[i][c]` = `{p : p[i] missing ∨ bin(p[i]) > c}` (1-based bins).
@@ -80,24 +78,8 @@ impl BinnedBitmapIndex {
     /// # Panics
     /// Panics if `bins_per_dim.len() != ds.dims()` or any entry is zero.
     pub fn build(ds: &Dataset, bins_per_dim: &[usize]) -> Self {
-        Self::build_range(ds, bins_per_dim, 0, ds.len())
-    }
-
-    /// Build a **shard** index over the contiguous global id range
-    /// `[lo, hi)` of `ds` (the binned counterpart of
-    /// [`crate::BitmapIndex::build_range`]). Bins are re-quantiled over the
-    /// shard's own value distribution; all object ids in columns, bin
-    /// tables, and probe cursors are **local** (global = `base() + local`).
-    /// Candidates outside the shard are scored through
-    /// [`BinnedBitmapIndex::select_for`] and the value-based probes.
-    ///
-    /// # Panics
-    /// Panics if `bins_per_dim.len() != ds.dims()`, `lo > hi`, or
-    /// `hi > ds.len()`.
-    pub fn build_range(ds: &Dataset, bins_per_dim: &[usize], lo: usize, hi: usize) -> Self {
         assert_eq!(bins_per_dim.len(), ds.dims(), "one bin count per dimension");
-        assert!(lo <= hi && hi <= ds.len(), "bad shard range {lo}..{hi}");
-        let n = hi - lo;
+        let n = ds.len();
         let dims = ds.dims();
         let mut boundaries = Vec::with_capacity(dims);
         let mut columns = Vec::with_capacity(dims);
@@ -105,12 +87,10 @@ impl BinnedBitmapIndex {
         let mut bin_idx = vec![MISSING; n * dims];
 
         for dim in 0..dims {
-            // Distinct values with multiplicities, ascending (local ids).
-            let mut sorted: Vec<(f64, ObjectId)> = (lo..hi)
-                .filter_map(|o| {
-                    ds.value(o as ObjectId, dim)
-                        .map(|v| (v, (o - lo) as ObjectId))
-                })
+            // Distinct values with multiplicities, ascending.
+            let mut sorted: Vec<(f64, ObjectId)> = ds
+                .ids()
+                .filter_map(|o| ds.value(o, dim).map(|v| (v, o)))
                 .collect();
             sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             let mut counts: Vec<(f64, usize)> = Vec::new();
@@ -154,7 +134,6 @@ impl BinnedBitmapIndex {
         BinnedBitmapIndex {
             n,
             dims,
-            base: lo,
             boundaries,
             columns,
             bin_idx,
@@ -262,7 +241,6 @@ impl BinnedBitmapIndex {
         Ok(BinnedBitmapIndex {
             n,
             dims,
-            base: 0,
             boundaries,
             columns,
             bin_idx,
@@ -292,11 +270,7 @@ impl BinnedBitmapIndex {
     // bins stay exact — compaction re-quantiles them.
 
     /// Append one object (slot `n()`). Returns the new local id.
-    ///
-    /// # Panics
-    /// Panics on shard indexes (`base() != 0`).
     pub fn append_row(&mut self, mut value: impl FnMut(usize) -> Option<f64>) -> usize {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         let local = self.n;
         for dim in 0..self.dims {
             let slot = match value(dim) {
@@ -331,11 +305,7 @@ impl BinnedBitmapIndex {
     /// Tombstone local slot `local`: clear its bits in **all** columns and
     /// remove its keys from the probe trees. `value(d)` must return the
     /// slot's observations (the caller still holds the tombstoned row).
-    ///
-    /// # Panics
-    /// Panics on shard indexes.
     pub fn tombstone_row(&mut self, local: usize, mut value: impl FnMut(usize) -> Option<f64>) {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         for dim in 0..self.dims {
             for col in &mut self.columns[dim] {
                 if col.get(local) {
@@ -351,11 +321,7 @@ impl BinnedBitmapIndex {
     /// Overwrite one cell of live slot `local` (`old` is its current
     /// observation, `new` the replacement), re-binning its column bits and
     /// swapping its probe-tree key.
-    ///
-    /// # Panics
-    /// Panics on shard indexes.
     pub fn set_cell(&mut self, local: usize, dim: usize, old: Option<f64>, new: Option<f64>) {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         if let Some(v) = old {
             self.trees[dim].remove(&(F64Key::new(v).expect("not NaN"), local as ObjectId));
         }
@@ -450,12 +416,6 @@ impl BinnedBitmapIndex {
     /// Number of indexed objects.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// First global object id covered (0 unless built with
-    /// [`BinnedBitmapIndex::build_range`]).
-    pub fn base(&self) -> usize {
-        self.base
     }
 
     /// Dimensionality.
@@ -620,9 +580,7 @@ impl BinnedBitmapIndex {
         match self.bin_of(o, dim) {
             None => self.ids_below_in_bin(dim, f64::INFINITY, false),
             Some(_) => {
-                let v = ds
-                    .value((self.base + o as usize) as ObjectId, dim)
-                    .expect("bin implies observed");
+                let v = ds.value(o, dim).expect("bin implies observed");
                 self.ids_below_in_bin(dim, v, true)
             }
         }
@@ -854,50 +812,11 @@ mod tests {
     }
 
     #[test]
-    fn range_build_matches_per_shard_rebuild() {
-        // A shard built over [lo, hi) must behave exactly like a
-        // whole-dataset build over the same rows: same bins, same columns,
-        // same probes — only the id frame differs (local = global − lo).
-        let ds = fixtures::fig3_sample();
-        let (lo, hi) = (6, 17);
-        let shard = BinnedBitmapIndex::build_range(&ds, &[2, 2, 3, 3], lo, hi);
-        assert_eq!(shard.base(), lo);
-        assert_eq!(shard.n(), hi - lo);
-        let rows: Vec<Vec<Option<f64>>> = (lo..hi)
-            .map(|o| (0..ds.dims()).map(|d| ds.value(o as u32, d)).collect())
-            .collect();
-        let sub = tkd_model::Dataset::from_rows(ds.dims(), &rows).unwrap();
-        let fresh = BinnedBitmapIndex::build(&sub, &[2, 2, 3, 3]);
-        for dim in 0..ds.dims() {
-            assert_eq!(shard.num_columns(dim), fresh.num_columns(dim), "dim {dim}");
-            for c in 0..shard.num_columns(dim) {
-                assert_eq!(
-                    shard.column(dim, c),
-                    fresh.column(dim, c),
-                    "dim {dim} col {c}"
-                );
-            }
-        }
-        for local in 0..shard.n() {
-            for dim in 0..ds.dims() {
-                assert_eq!(
-                    shard.bin_of(local as u32, dim),
-                    fresh.bin_of(local as u32, dim)
-                );
-            }
-        }
-        // Member probe respects the base offset.
-        for local in 0..shard.n() {
-            let a: Vec<u32> = shard.ids_in_bin_below(&ds, local as u32, 0).collect();
-            let b: Vec<u32> = fresh.ids_in_bin_below(&sub, local as u32, 0).collect();
-            assert_eq!(a, b, "local {local}");
-        }
-    }
-
-    #[test]
     fn value_based_selection_and_probe_agree_with_member_forms() {
         let ds = fixtures::fig3_sample();
-        let shard = BinnedBitmapIndex::build_range(&ds, &[2, 2, 3, 3], 5, 14);
+        let rows: Vec<ObjectId> = (5..14).collect();
+        let sub = ds.select(&rows);
+        let shard = BinnedBitmapIndex::build(&sub, &[2, 2, 3, 3]);
         // Candidates from the whole dataset, members or not.
         for o in ds.ids() {
             let sel = shard.select_for(|d| ds.value(o, d));
@@ -907,8 +826,7 @@ mod tests {
                 assert_eq!((qd, pd), (d, d));
                 assert!(qc <= pc && pc <= shard.num_bins(d));
                 // Column predicates against every member, from raw values.
-                for local in 0..shard.n() {
-                    let pid = (shard.base() + local) as u32;
+                for (local, pid) in rows.iter().enumerate() {
                     let member_bin = shard.bin_of(local as u32, d);
                     let cand_bin = ds.value(o, d).map(|v| {
                         // 1-based bin containing v (num_bins + 1 = above all).
@@ -941,7 +859,7 @@ mod tests {
             if (5..14).contains(&(o as usize)) {
                 let local = o - 5;
                 for d in 0..ds.dims() {
-                    let via_member: Vec<u32> = shard.ids_in_bin_below(&ds, local, d).collect();
+                    let via_member: Vec<u32> = shard.ids_in_bin_below(&sub, local, d).collect();
                     let via_value: Vec<u32> = match ds.value(o, d) {
                         Some(v) => shard.ids_below_in_bin(d, v, true).collect(),
                         None => shard.ids_below_in_bin(d, 0.0, false).collect(),

@@ -94,9 +94,6 @@ fn suffix_counts(col: &BitVec) -> Vec<u32> {
 pub struct BitmapIndex {
     n: usize,
     dims: usize,
-    /// First global object id covered by this index (0 for whole-dataset
-    /// builds; see [`BitmapIndex::build_range`]).
-    base: usize,
     /// Sorted distinct observed values per dimension.
     values: Vec<Vec<f64>>,
     /// `columns[i][c]` = `{p : p[i] missing ∨ p[i] > values[i][c-1]}`;
@@ -124,34 +121,18 @@ pub struct BitmapIndex {
 impl BitmapIndex {
     /// Build the index for `ds`.
     pub fn build(ds: &Dataset) -> Self {
-        Self::build_range(ds, 0, ds.len())
-    }
-
-    /// Build a **shard** index over the contiguous global id range
-    /// `[lo, hi)` of `ds`. Bit `i` of every column refers to the object
-    /// with the stable global id `lo + i` ([`BitmapIndex::base`] recovers
-    /// `lo`), so per-shard `Q`/`P` popcounts over a partition of the
-    /// dataset sum to the whole-dataset counts. Distinct-value tables hold
-    /// only the shard members' values; candidates from *outside* the shard
-    /// are scored against it through [`BitmapIndex::select_for`].
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `hi > ds.len()`.
-    pub fn build_range(ds: &Dataset, lo: usize, hi: usize) -> Self {
-        assert!(lo <= hi && hi <= ds.len(), "bad shard range {lo}..{hi}");
-        let n = hi - lo;
+        let n = ds.len();
         let dims = ds.dims();
         let mut values = Vec::with_capacity(dims);
         let mut columns = Vec::with_capacity(dims);
         let mut val_idx = vec![MISSING; n * dims];
-        let members = || (lo..hi).map(|o| o as ObjectId);
 
         for dim in 0..dims {
-            let vals = stats::distinct_values_in(ds, dim, lo, hi);
+            let vals = stats::distinct_values(ds, dim);
             // Objects holding each distinct value, for incremental column
             // construction.
             let mut holders: Vec<Vec<ObjectId>> = vec![Vec::new(); vals.len()];
-            for o in members() {
+            for o in ds.ids() {
                 if let Some(v) = ds.value(o, dim) {
                     // `vals` is deduped with `==` (merging −0.0 into 0.0),
                     // so the lookup must use IEEE `<` too: `total_cmp`
@@ -159,9 +140,8 @@ impl BitmapIndex {
                     // the merged entry.
                     let j = vals.partition_point(|&x| x < v);
                     debug_assert_eq!(vals[j], v);
-                    let local = o as usize - lo;
-                    holders[j].push(local as ObjectId);
-                    val_idx[local * dims + dim] = (j + 1) as u32;
+                    holders[j].push(o);
+                    val_idx[o as usize * dims + dim] = (j + 1) as u32;
                 }
             }
             let mut cols = Vec::with_capacity(vals.len() + 1);
@@ -183,7 +163,6 @@ impl BitmapIndex {
         BitmapIndex {
             n,
             dims,
-            base: lo,
             values,
             columns,
             val_idx,
@@ -278,7 +257,6 @@ impl BitmapIndex {
         Ok(BitmapIndex {
             n,
             dims,
-            base: 0,
             values,
             columns,
             val_idx,
@@ -297,12 +275,7 @@ impl BitmapIndex {
     /// Cost without a new distinct value: `O(Σᵢ (Cᵢ+1))` bit appends plus
     /// `O(set bits · nblocks)` suffix updates — far below a rebuild's
     /// `O(Σᵢ (Cᵢ+1) · N/64)`.
-    ///
-    /// # Panics
-    /// Panics on shard indexes (`base() != 0`) — only whole-dataset
-    /// indexes are dynamically maintained.
     pub fn append_row(&mut self, mut value: impl FnMut(usize) -> Option<f64>) -> usize {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         let local = self.n;
         for dim in 0..self.dims {
             let slot = match value(dim) {
@@ -341,9 +314,8 @@ impl BitmapIndex {
     /// repair the suffix tables. Returns `false` if already dead.
     ///
     /// # Panics
-    /// Panics on shard indexes or out-of-range slots.
+    /// Panics on out-of-range slots.
     pub fn tombstone_row(&mut self, local: usize) -> bool {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         if !self.live.kill(local) {
             return false;
         }
@@ -372,9 +344,8 @@ impl BitmapIndex {
     /// them).
     ///
     /// # Panics
-    /// Panics on shard indexes, out-of-range slots, or dead slots.
+    /// Panics on out-of-range slots or dead slots.
     pub fn set_cell(&mut self, local: usize, dim: usize, new: Option<f64>) {
-        assert_eq!(self.base, 0, "dynamic maintenance needs a base-0 index");
         assert!(self.live.is_live(local), "cell update on dead slot {local}");
         // Resolve the new slot first: a value-table insert shifts `val_idx`
         // (including this object's), so the old slot is read afterwards.
@@ -417,7 +388,7 @@ impl BitmapIndex {
     /// when `v` is a new distinct value.
     fn ensure_value(&mut self, dim: usize, v: f64) -> usize {
         let vals = &mut self.values[dim];
-        // IEEE `<` probe against the `==`-deduped table (see `build_range`).
+        // IEEE `<` probe against the `==`-deduped table (see `build`).
         let j = vals.partition_point(|&x| x < v);
         if j < vals.len() && vals[j] == v {
             return j + 1;
@@ -460,14 +431,6 @@ impl BitmapIndex {
     }
 
     // ----- static accessors ----------------------------------------------
-
-    /// First global object id covered (0 unless built with
-    /// [`BitmapIndex::build_range`]). Object arguments of the per-object
-    /// accessors (`value_index`, `q_column`, …) and set-bit positions of
-    /// every column are **local**: global id = `base() + local`.
-    pub fn base(&self) -> usize {
-        self.base
-    }
 
     /// Number of indexed objects.
     pub fn n(&self) -> usize {
@@ -719,9 +682,8 @@ impl BitmapIndex {
     }
 
     /// Resolve the `[Qᵢ]`/`[Pᵢ]` column picks for an **arbitrary value
-    /// vector** — the cross-shard scoring entry point: a shard index built
-    /// with [`BitmapIndex::build_range`] can score any candidate, member
-    /// or not, from its per-dimension values. `value(d)` returns the
+    /// vector** — the cross-shard scoring entry point: a shard's index can
+    /// score any candidate, member or not, from its per-dimension values. `value(d)` returns the
     /// candidate's observation in dimension `d` (`None` = missing).
     ///
     /// For shard members the resolved picks coincide exactly with
@@ -738,7 +700,7 @@ impl BitmapIndex {
             if let Some(v) = value(dim) {
                 let vals = &self.values[dim];
                 // IEEE `<` probe against the `==`-deduped table (see
-                // `build_range`): `c` counts the strictly smaller values.
+                // `build`): `c` counts the strictly smaller values.
                 let c = vals.partition_point(|&x| x < v);
                 let present = c < vals.len() && vals[c] == v;
                 sel.q[dim] = c as u32;
@@ -775,8 +737,8 @@ impl BitmapIndex {
 
     /// Cheap upper bound of `|∩ᵢ columns[i][sel.q[i]]|`: the sparsest
     /// selected column's total popcount (`O(dims)` table lookups, no words
-    /// touched). The parallel engine's cross-shard Heuristic 2 sums these
-    /// to skip whole shards.
+    /// touched). A cluster coordinator sums these across shards for its
+    /// Heuristic-2 decision.
     pub fn q_selected_upper_bound(&self, sel: &ColumnSelection) -> usize {
         let mut ub = self.live_count();
         for dim in 0..self.dims {
@@ -786,59 +748,6 @@ impl BitmapIndex {
             }
         }
         ub
-    }
-
-    /// `|∩ᵢ columns[i][sel.q[i]]|` with a *budget* early exit: returns
-    /// `None` as soon as the count is provably `≤ budget` (blockwise, via
-    /// the suffix-popcount tables — the same certificate as
-    /// [`BitmapIndex::max_bit_score_above`]), else the exact count. A
-    /// `None` lets the sharded Heuristic 2 prune without finishing the
-    /// scan; a `Some` feeds the running cross-shard total.
-    pub fn q_count_selected_above(&self, sel: &ColumnSelection, budget: usize) -> Option<usize> {
-        let mut words: [&[u64]; MAX_DIMS] = [&[]; MAX_DIMS];
-        let mut suffix: [&[u32]; MAX_DIMS] = [&[]; MAX_DIMS];
-        let mut m = 0;
-        for dim in 0..self.dims {
-            let c = sel.q[dim] as usize;
-            if c > 0 {
-                words[m] = self.columns[dim][c].as_words();
-                suffix[m] = &self.block_suffix[dim][c];
-                m += 1;
-            }
-        }
-        if m == 0 {
-            let live = self.live_count();
-            return (live > budget).then_some(live);
-        }
-        let min0 = suffix[..m].iter().map(|s| s[0] as usize).min().unwrap();
-        if min0 <= budget {
-            return None;
-        }
-        let nwords = words[0].len();
-        let mut total = 0usize;
-        let mut block = 0usize;
-        let mut w = 0usize;
-        while w < nwords {
-            let end = (w + SUFFIX_BLOCK_WORDS).min(nwords);
-            total += block_and_count(&words, m, w, end);
-            w = end;
-            block += 1;
-            if total > budget {
-                // Keep decided: finish the scan for the exact count (the
-                // cross-shard caller needs it to budget later shards).
-                while w < nwords {
-                    let end = (w + SUFFIX_BLOCK_WORDS).min(nwords);
-                    total += block_and_count(&words, m, w, end);
-                    w = end;
-                }
-                return Some(total);
-            }
-            let min_suffix = suffix[..m].iter().map(|s| s[block] as usize).min().unwrap();
-            if total + min_suffix <= budget {
-                return None;
-            }
-        }
-        (total > budget).then_some(total)
     }
 
     /// 1-based value slot of local object `local` in `dim`, `0` when
@@ -883,8 +792,7 @@ impl BitmapIndex {
 /// Resolved per-dimension column picks (plus equality slots) for one
 /// candidate against one [`BitmapIndex`] — produced by
 /// [`BitmapIndex::select_for`], consumed by the `*_selected` scoring
-/// methods. Plain `Copy` data on the stack: the parallel engine keeps one
-/// per shard in its per-worker scratch, so candidate scoring allocates
+/// methods. Plain `Copy` data on the stack, so candidate scoring allocates
 /// nothing.
 #[derive(Clone, Copy, Debug)]
 pub struct ColumnSelection {
@@ -1053,45 +961,50 @@ mod tests {
         }
     }
 
+    /// The rows `[lo, hi)` of `ds` as a dataset of their own — one shard.
+    fn rows(ds: &Dataset, lo: usize, hi: usize) -> Dataset {
+        ds.select(&(lo as ObjectId..hi as ObjectId).collect::<Vec<_>>())
+    }
+
     #[test]
     fn range_builds_partition_the_full_index() {
-        // Sharded Q/P popcounts must sum to the whole-dataset counts, and
-        // member selections must coincide with the member accessors.
+        // Q/P popcounts of indexes over a row partition must sum to the
+        // whole-dataset counts, and member selections must coincide with
+        // the member accessors.
         let ds = fixtures::fig3_sample();
         let full = BitmapIndex::build(&ds);
         for cuts in [vec![0, 20], vec![0, 8, 20], vec![0, 5, 11, 16, 20]] {
-            let shards: Vec<BitmapIndex> = cuts
+            let shards: Vec<(usize, BitmapIndex)> = cuts
                 .windows(2)
-                .map(|w| BitmapIndex::build_range(&ds, w[0], w[1]))
+                .map(|w| (w[0], BitmapIndex::build(&rows(&ds, w[0], w[1]))))
                 .collect();
             for o in ds.ids() {
                 let mut q_total = 0;
                 let mut p_total = 0;
-                for s in &shards {
+                for (base, s) in &shards {
+                    let base = *base;
                     let sel = s.select_for(|d| ds.value(o, d));
-                    let member = (s.base()..s.base() + s.n())
+                    let member = (base..base + s.n())
                         .contains(&(o as usize))
-                        .then(|| o as usize - s.base());
+                        .then(|| o as usize - base);
                     let mut q = BitVec::zeros(s.n());
                     let mut p = BitVec::zeros(s.n());
                     s.q_into_selected(&sel, member, &mut q);
                     s.p_into_selected(&sel, &mut p);
                     // Selected columns match the global predicate bit by bit.
                     for local in 0..s.n() {
-                        let g = s.base() + local;
+                        let g = base + local;
                         assert_eq!(
                             q.get(local),
                             full.q_vec(o).get(g),
-                            "Q obj {o} shard base {} bit {local}",
-                            s.base()
+                            "Q obj {o} shard base {base} bit {local}"
                         );
                         assert_eq!(p.get(local), full.p_vec(o).get(g), "P obj {o} bit {local}");
                     }
                     q_total += q.count_ones();
                     p_total += p.count_ones();
-                    // The fused count agrees (counts include o's own bit when member).
+                    // The bound counts o's own bit when it is a member.
                     let raw = q.count_ones() + usize::from(member.is_some());
-                    assert_eq!(s.q_count_selected_above(&sel, 0).unwrap_or(0), raw);
                     assert!(s.q_selected_upper_bound(&sel) >= raw);
                 }
                 assert_eq!(q_total, full.q_vec(o).count_ones(), "obj {o}");
@@ -1103,11 +1016,11 @@ mod tests {
     #[test]
     fn selection_eq_slots_detect_exact_ties() {
         let ds = fixtures::fig3_sample();
-        let shard = BitmapIndex::build_range(&ds, 7, 15);
+        let shard = BitmapIndex::build(&rows(&ds, 7, 15));
         for o in ds.ids() {
             let sel = shard.select_for(|d| ds.value(o, d));
             for local in 0..shard.n() {
-                let pid = (shard.base() + local) as ObjectId;
+                let pid = (7 + local) as ObjectId;
                 for d in 0..ds.dims() {
                     let tied = match (ds.value(o, d), ds.value(pid, d)) {
                         (Some(a), Some(b)) => a == b,
@@ -1119,25 +1032,6 @@ mod tests {
                         tied,
                         "o={o} pid={pid} dim={d}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn budgeted_count_agrees_with_exact() {
-        let ds = fixtures::fig3_sample();
-        let idx = BitmapIndex::build(&ds);
-        for o in ds.ids() {
-            let sel = idx.select_for(|d| ds.value(o, d));
-            let exact = idx.q_vec(o).count_ones() + 1; // q_vec cleared o's bit
-            for budget in [0usize, 1, 5, exact.saturating_sub(1), exact, exact + 3] {
-                match idx.q_count_selected_above(&sel, budget) {
-                    Some(c) => {
-                        assert_eq!(c, exact, "obj {o} budget {budget}");
-                        assert!(c > budget);
-                    }
-                    None => assert!(exact <= budget, "obj {o} budget {budget}"),
                 }
             }
         }
@@ -1294,13 +1188,6 @@ mod tests {
                     assert!(!q.get(dead) && !p.get(dead), "dead slot {dead} set");
                 }
                 assert!(dyn_idx.q_selected_upper_bound(&sel) >= qc);
-                for budget in [0, qc.saturating_sub(1), qc, qc + 2] {
-                    assert_eq!(
-                        dyn_idx.q_count_selected_above(&sel, budget),
-                        (qc > budget).then_some(qc),
-                        "budgeted count at step {step} budget {budget}"
-                    );
-                }
             }
             // Member-form scoring agrees with the oracle's member form.
             let mut live_i = 0;

@@ -127,8 +127,6 @@ pub enum ArithOp {
 /// One `WITH` knob.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WithItem {
-    /// `THREADS t` — worker threads for BIG/IBIG.
-    Threads(u64, Span),
     /// `WINDOW n` — sliding-window capacity (subscriptions only).
     Window(u64, Span),
     /// `BINS x` — IBIG bins per dimension.

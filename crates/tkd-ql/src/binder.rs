@@ -27,8 +27,6 @@ pub struct Bound {
     pub predicates: Vec<BoundPredicate>,
     /// Explicit `USING` algorithm; `None` = planner chooses by cost.
     pub algorithm: Option<Algorithm>,
-    /// `WITH THREADS t` (default 1).
-    pub threads: usize,
     /// `WITH WINDOW n` (subscriptions only).
     pub window: Option<usize>,
     /// `WITH BINS x` (one-shot IBIG only).
@@ -118,22 +116,16 @@ pub fn bind(stmt: &Statement, dims: usize) -> Result<Bound, QlError> {
         }),
     };
 
-    let mut threads: Option<(u64, Span)> = None;
     let mut window: Option<(u64, Span)> = None;
     let mut bins: Option<(u64, Span)> = None;
     let mut fallback: Option<(f64, Span)> = None;
     for item in &sel.with {
         match item {
-            WithItem::Threads(v, s) => set_once("THREADS", &mut threads, *v, *s)?,
             WithItem::Window(v, s) => set_once("WINDOW", &mut window, *v, *s)?,
             WithItem::Bins(v, s) => set_once("BINS", &mut bins, *v, *s)?,
             WithItem::Fallback(v, s) => set_once("FALLBACK", &mut fallback, *v, *s)?,
         }
     }
-    let threads = match threads {
-        None => 1,
-        Some((v, s)) => positive("THREADS", v, s)?,
-    };
     let window = window.map(|(v, s)| positive("WINDOW", v, s)).transpose()?;
     let bins = bins.map(|(v, s)| positive("BINS", v, s)).transpose()?;
     let fallback = match fallback {
@@ -165,13 +157,6 @@ pub fn bind(stmt: &Statement, dims: usize) -> Result<Bound, QlError> {
                 ));
             }
         }
-        if threads != 1 {
-            return Err(QlError::bind(
-                with_span(sel, "THREADS"),
-                "THREADS does not apply to subscriptions \
-                 (patching is incremental, not parallel)",
-            ));
-        }
         if bins.is_some() {
             return Err(QlError::bind(
                 with_span(sel, "BINS"),
@@ -202,7 +187,6 @@ pub fn bind(stmt: &Statement, dims: usize) -> Result<Bound, QlError> {
         subspace,
         predicates,
         algorithm,
-        threads,
         window,
         bins,
         fallback,
@@ -265,8 +249,7 @@ fn positive(what: &str, v: u64, s: Span) -> Result<usize, QlError> {
 fn with_span(sel: &crate::ast::SelectStmt, what: &str) -> Span {
     for item in &sel.with {
         match (item, what) {
-            (WithItem::Threads(_, s), "THREADS")
-            | (WithItem::Window(_, s), "WINDOW")
+            (WithItem::Window(_, s), "WINDOW")
             | (WithItem::Bins(_, s), "BINS")
             | (WithItem::Fallback(_, s), "FALLBACK") => return *s,
             _ => {}
@@ -307,7 +290,7 @@ mod tests {
     fn rejects_duplicate_subspace_dims_and_with_items() {
         let e = bind_text("SELECT TOP 1 DOMINATING SUBSPACE (d1, d1)", 4).unwrap_err();
         assert!(e.message.contains("twice"), "{e}");
-        let e = bind_text("SELECT TOP 1 DOMINATING WITH THREADS 2, THREADS 3", 4).unwrap_err();
+        let e = bind_text("SELECT TOP 1 DOMINATING WITH BINS 2, BINS 3", 4).unwrap_err();
         assert!(e.message.contains("twice"), "{e}");
     }
 
@@ -335,8 +318,8 @@ mod tests {
         assert!(e.message.contains("cannot combine"), "{e}");
         let e = bind_text("SUBSCRIBE TO SELECT TOP 1 DOMINATING USING NAIVE", 4).unwrap_err();
         assert!(e.message.contains("BIG or IBIG"), "{e}");
-        let e = bind_text("SUBSCRIBE TO SELECT TOP 1 DOMINATING WITH THREADS 4", 4).unwrap_err();
-        assert!(e.message.contains("THREADS"), "{e}");
+        let e = bind_text("SUBSCRIBE TO SELECT TOP 1 DOMINATING WITH BINS 4", 4).unwrap_err();
+        assert!(e.message.contains("BINS"), "{e}");
         assert!(bind_text(
             "SUBSCRIBE TO SELECT TOP 1 DOMINATING WITH WINDOW 100, FALLBACK 0.5",
             4
@@ -354,7 +337,7 @@ mod tests {
 
     #[test]
     fn with_value_ranges() {
-        let e = bind_text("SELECT TOP 1 DOMINATING WITH THREADS 0", 4).unwrap_err();
+        let e = bind_text("SELECT TOP 1 DOMINATING WITH BINS 0", 4).unwrap_err();
         assert!(e.message.contains("at least 1"), "{e}");
         let e = bind_text("SUBSCRIBE TO SELECT TOP 1 DOMINATING WITH FALLBACK 1.5", 4).unwrap_err();
         assert!(e.message.contains("[0, 1]"), "{e}");

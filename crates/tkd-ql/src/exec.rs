@@ -117,7 +117,7 @@ pub fn run_on_engine(plan: &Plan, engine: &mut DynamicEngine) -> Result<Outcome,
         }
         let q = EngineQuery::new(plan.k).algorithm(decision.algorithm);
         let result = engine
-            .query_threads(&q, plan.threads)
+            .query(&q)
             .map_err(|e| QlError::exec(Span::eof(), e.to_string()))?;
         return Ok(Outcome::Rows(result));
     }
@@ -236,9 +236,7 @@ fn run_derived(plan: &Plan, derived: &Derived, algorithm: Algorithm) -> TkdResul
     if derived.ds.is_empty() {
         return TkdResult::default();
     }
-    let mut q = TkdQuery::new(plan.k)
-        .algorithm(algorithm)
-        .threads(plan.threads);
+    let mut q = TkdQuery::new(plan.k).algorithm(algorithm);
     if let Some(x) = plan.bins {
         q = q.bins(BinChoice::Fixed(x));
     }
@@ -307,9 +305,6 @@ fn render_explain(plan: &Plan, target: &str, stats: &PlanStats, decision: &AlgoD
     ));
     out.push_str(&format!("  algorithm: {:?}\n", decision.algorithm));
     out.push_str(&format!("  chosen by: {}\n", decision.rationale));
-    if plan.threads != 1 {
-        out.push_str(&format!("  threads:   {}\n", plan.threads));
-    }
     if let Some(x) = plan.bins {
         out.push_str(&format!("  bins:      {x}\n"));
     }

@@ -9,7 +9,7 @@
 //!   [ SUBSPACE (d1, d3, ...) ]
 //!   [ WHERE d2 > 0.5 AND d4 BETWEEN 1 AND 4 ]
 //!   [ USING BIG | IBIG | UBB | ESB | NAIVE ]
-//!   [ WITH THREADS t, BINS x ]
+//!   [ WITH BINS x ]
 //! ```
 //!
 //! plus the wrappers `EXPLAIN <select>` (plan, don't run) and

@@ -114,7 +114,6 @@ pub fn plan(bound: Bound) -> Result<Plan, QlError> {
         subspace: bound.subspace,
         ranges,
         algo,
-        threads: bound.threads,
         window: bound.window,
         bins: bound.bins,
         fallback: bound.fallback,

@@ -16,8 +16,8 @@
 //! expr        = term { ("+"|"-") term } ;
 //! term        = factor { ("*"|"/") factor } ;
 //! factor      = [ "-" ] ( number | "(" expr ")" ) ;
-//! with-item   = "THREADS" integer | "WINDOW" integer
-//!             | "BINS" integer | "FALLBACK" number ;
+//! with-item   = "WINDOW" integer | "BINS" integer
+//!             | "FALLBACK" number ;
 //! algorithm   = "NAIVE" | "ESB" | "UBB" | "BIG" | "IBIG" ;
 //! ```
 //!
@@ -255,9 +255,6 @@ impl Parser {
     fn with_item(&mut self) -> Result<WithItem, QlError> {
         let t = self.bump();
         match t.kind {
-            TokenKind::Keyword("THREADS") => {
-                Ok(WithItem::Threads(self.integer("THREADS")?.0, t.span))
-            }
             TokenKind::Keyword("WINDOW") => Ok(WithItem::Window(self.integer("WINDOW")?.0, t.span)),
             TokenKind::Keyword("BINS") => Ok(WithItem::Bins(self.integer("BINS")?.0, t.span)),
             TokenKind::Keyword("FALLBACK") => {
@@ -276,7 +273,7 @@ impl Parser {
             other => Err(QlError::parse(
                 t.span,
                 format!(
-                    "expected a WITH item (THREADS, WINDOW, BINS, FALLBACK), found {}",
+                    "expected a WITH item (WINDOW, BINS, FALLBACK), found {}",
                     other.describe()
                 ),
             )),
@@ -399,7 +396,7 @@ mod tests {
     fn full_clause_order() {
         let s = parse(
             "SELECT TOP 8 DOMINATING FROM 'data.csv' SUBSPACE (d1, d3) \
-             WHERE d2 > 0.5 AND d4 BETWEEN 1 AND 4 USING ibig WITH THREADS 2, BINS 16;",
+             WHERE d2 > 0.5 AND d4 BETWEEN 1 AND 4 USING ibig WITH WINDOW 8, BINS 16;",
         )
         .unwrap();
         let sel = s.select();
@@ -463,6 +460,8 @@ mod tests {
         assert!(e.message.contains("after the end"), "{e}");
         let e = parse("SELECT TOP 3 DOMINATING WHERE d1 ~ 3");
         assert!(e.is_err());
+        let e = parse("SELECT TOP 3 DOMINATING WITH THREADS 2").unwrap_err();
+        assert!(e.message.contains("expected a WITH item"), "{e}");
     }
 
     #[test]

@@ -79,8 +79,6 @@ pub struct Plan {
     pub ranges: Vec<DimRange>,
     /// Fixed or cost-based algorithm.
     pub algo: AlgoChoice,
-    /// Worker threads for BIG/IBIG.
-    pub threads: usize,
     /// Sliding-window capacity (subscriptions).
     pub window: Option<usize>,
     /// IBIG bin count per dimension (one-shot).

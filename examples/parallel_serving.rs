@@ -1,15 +1,16 @@
-//! Multi-user serving simulation: one [`ParallelEngine`] built over a
+//! Multi-user serving simulation: one [`DynamicEngine`] built over a
 //! dataset, then a mixed batch of concurrent user queries (different `k`s,
 //! BIG and IBIG, deterministic and randomized tie-breaks) served three
-//! ways — sequentially, batched across workers, and with within-query
-//! parallelism — with the answers cross-checked for exact agreement.
+//! ways — one query at a time, batched across worker threads with
+//! `query_many`, and by rebuilding a context per query — with the answers
+//! cross-checked for exact agreement.
 //!
 //! ```sh
 //! cargo run --release --example parallel_serving
 //! ```
 
 use std::time::Instant;
-use tkdi::core::{Algorithm, EngineQuery, ParallelEngine, TieBreak, TkdQuery};
+use tkdi::core::{Algorithm, DynamicEngine, EngineQuery, TieBreak, TkdQuery};
 use tkdi::data::synthetic::{generate, Distribution, SyntheticConfig};
 
 fn main() {
@@ -54,29 +55,28 @@ fn main() {
 
     // Engine build is paid once, then amortized over the whole batch.
     let t0 = Instant::now();
-    let engine = ParallelEngine::builder(&ds).threads(hw.max(2)).build();
-    println!(
-        "engine: {} threads, {} shards, built in {:.1?}",
-        engine.threads(),
-        engine.shards(),
-        t0.elapsed()
-    );
+    let mut engine = DynamicEngine::new(ds.clone());
+    println!("engine built in {:.1?}", t0.elapsed());
 
-    // 1) One query at a time, all workers cooperating on each.
+    // 1) One query at a time.
     let t0 = Instant::now();
-    let one_by_one: Vec<_> = batch.iter().map(|q| engine.query(q)).collect();
-    let within = t0.elapsed();
+    let one_by_one: Vec<_> = batch
+        .iter()
+        .map(|q| engine.query(q).expect("BIG/IBIG"))
+        .collect();
+    let single = t0.elapsed();
     println!(
-        "within-query parallelism: {} queries in {within:.1?}",
+        "one at a time (query):          {} queries in {single:.1?}",
         batch.len()
     );
 
-    // 2) The whole batch at once, worker-per-query.
+    // 2) The whole batch at once, whole queries spread over the workers.
+    let threads = hw.max(2);
     let t0 = Instant::now();
-    let batched = engine.query_many(&batch);
+    let batched = engine.query_many(&batch, threads).expect("BIG/IBIG");
     let across = t0.elapsed();
     println!(
-        "batched (query_many):     {} queries in {across:.1?}",
+        "batched (query_many, {threads} threads): {} queries in {across:.1?}",
         batch.len()
     );
 
@@ -101,8 +101,8 @@ fn main() {
     // Every serving mode returns identical answers.
     for (i, q) in batch.iter().enumerate() {
         assert_eq!(
-            one_by_one[i].scores(),
-            batched[i].scores(),
+            one_by_one[i].entries(),
+            batched[i].entries(),
             "query {i}: engine modes disagree"
         );
         assert_eq!(

@@ -160,7 +160,7 @@ fn parse_policy(opts: &Opts) -> CompactionPolicy {
     policy
 }
 
-/// The `--threads` flag (default 1).
+/// `tkdq serve --threads`: the batch fan-out width (default 1).
 fn parse_threads(opts: &Opts) -> usize {
     opts.get("threads")
         .map(|t| match t.parse() {
@@ -250,7 +250,7 @@ fn cmd_query(args: &[String]) {
         .unwrap_or_else(|_| usage("--k must be an integer"));
     if let Some(snap) = opts.get("index") {
         // Snapshot-served path: the engine artifacts come off disk; the
-        // sequential/parallel scratch engines answer from them directly.
+        // sequential scratch engines answer from them directly.
         if opts.file.is_some() {
             usage("--index replaces the dataset file; pass one or the other");
         }
@@ -264,10 +264,7 @@ fn cmd_query(args: &[String]) {
         };
         let mut engine = load_snapshot(snap);
         let result = engine
-            .query_threads(
-                &EngineQuery::new(k).algorithm(algorithm),
-                parse_threads(&opts),
-            )
+            .query(&EngineQuery::new(k).algorithm(algorithm))
             .expect("big/ibig checked above");
         print_engine_result(&engine, &result, opts.has("stats"));
         return;
@@ -282,15 +279,6 @@ fn cmd_query(args: &[String]) {
         other => usage(&format!("unknown algorithm {other:?}")),
     };
     let mut query = TkdQuery::new(k).algorithm(algorithm);
-    if let Some(t) = opts.get("threads") {
-        let t: usize = t
-            .parse()
-            .unwrap_or_else(|_| usage("--threads must be a positive integer"));
-        if t == 0 {
-            usage("--threads must be a positive integer");
-        }
-        query = query.threads(t);
-    }
     if let Some(bins) = opts.get("bins") {
         if bins != "auto" {
             let x: usize = bins
@@ -420,7 +408,7 @@ fn run_ql_on_engine(
 /// `tkdq query -e "<tkdql>"` — one statement, then exit. The target is
 /// the statement's `FROM` clause, the positional file, or `--index`.
 fn cmd_query_expr(opts: &Opts, text: &str) {
-    for flag in ["k", "algorithm", "subspace", "bins", "threads"] {
+    for flag in ["k", "algorithm", "subspace", "bins"] {
         if opts.get(flag).is_some() {
             usage(&format!(
                 "--{flag} conflicts with -e; the TKDQL statement carries it \
@@ -641,7 +629,6 @@ fn cmd_update(args: &[String]) {
             "the dynamic engine serves big | ibig, not {other:?}"
         )),
     };
-    let threads = parse_threads(&opts);
     let ops_file = opts
         .get("ops")
         .unwrap_or_else(|| usage("update requires --ops FILE"));
@@ -695,7 +682,7 @@ fn cmd_update(args: &[String]) {
         eprintln!("snapshot rewritten: {path} ({bytes} bytes)");
     }
     let result = engine
-        .query_threads(&EngineQuery::new(k).algorithm(algorithm), threads)
+        .query(&EngineQuery::new(k).algorithm(algorithm))
         .expect("big/ibig checked above");
     print_engine_result(&engine, &result, opts.has("stats"));
 }

@@ -38,7 +38,7 @@ pub const COMMANDS: &[CommandHelp] = &[
         summary: "answer a top-k dominating query (flags or a TKDQL statement)",
         usage: &[
             "tkdq query <FILE>|--index SNAP --k K [--algorithm naive|esb|ubb|big|ibig]",
-            "     [--bins auto|X] [--subspace 0,2,5] [--threads T] [--labeled] [--stats]",
+            "     [--bins auto|X] [--subspace 0,2,5] [--labeled] [--stats]",
             "     (--index serves big|ibig from a snapshot; bins/subspace need the file)",
             "tkdq query -e \"SELECT TOP k DOMINATING [FROM 'FILE'] …\" [FILE|--index SNAP]",
             "     (TKDQL statement; the target is the FROM clause, the positional",
@@ -58,7 +58,7 @@ pub const COMMANDS: &[CommandHelp] = &[
         summary: "apply an update script through the dynamic engine, then query",
         usage: &[
             "tkdq update <FILE>|--index SNAP --ops OPS --k K [--algorithm big|ibig]",
-            "     [--bins auto|X] [--threads T] [--compact-threshold F] [--labeled] [--stats]",
+            "     [--bins auto|X] [--compact-threshold F] [--labeled] [--stats]",
             "     (OPS lines: insert [LABEL] v1,v2,… | delete ID | set ID DIM VALUE|-;",
             "      --index loads the snapshot, applies OPS, and rewrites it in place)",
         ],

@@ -13,10 +13,10 @@
 //! * [`index`] — range-encoded and binned bitmap indexes, binning strategy,
 //!   space/time cost model (§4.3–4.5).
 //! * [`core`] — the TKD algorithms: Naive, ESB, UBB, BIG, IBIG (§4), plus
-//!   the MFD weighted-dominance extension (§3), the sharded parallel
-//!   execution layer (`core::parallel`), the multi-user serving engine
-//!   (`core::engine`), the dynamic update layer (`core::dynamic`)
-//!   with incremental inserts/deletes over all indexes, and standing
+//!   the MFD weighted-dominance extension (§3), the dynamic update layer
+//!   (`core::dynamic`) with incremental inserts/deletes over all indexes
+//!   and batched `query_many` fan-out across worker threads, the
+//!   per-shard scorers of the cluster (`core::cluster`), and standing
 //!   queries (`core::standing`) whose results are patched per op-batch
 //!   and streamed as deltas.
 //! * [`data`] — synthetic workloads (IND/AC/CO) and real-dataset simulators.
@@ -66,8 +66,8 @@ pub use tkd_store as store;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use tkd_core::{
-        Algorithm, BatchReport, DynamicEngine, EngineQuery, Notification, ParallelEngine,
-        StandingSpec, TkdQuery, TkdResult, UpdateOp,
+        Algorithm, BatchReport, DynamicEngine, EngineQuery, Notification, StandingSpec, TkdQuery,
+        TkdResult, UpdateOp,
     };
     pub use tkd_model::{Dataset, DimMask, ObjectId};
 }

@@ -1,11 +1,11 @@
 //! Adversarial-dataset regressions: inputs engineered to hit the known
 //! sharp edges of the bitmap machinery — IEEE −0.0/+0.0 aliasing (the
 //! PR-2 `total_cmp` fix), rows observing almost nothing, single-value
-//! columns, and exact duplicate objects. Every algorithm — sequential,
-//! parallel, and the serving engine — is asserted against the Naive
-//! oracle on each of them.
+//! columns, and exact duplicate objects. Every sequential algorithm is
+//! asserted against the Naive oracle on each of them, and the dynamic
+//! engine's fanned-out batches against sequential BIG and IBIG.
 
-use tkdi::core::{Algorithm, EngineQuery, ParallelEngine, TkdQuery};
+use tkdi::core::{Algorithm, DynamicEngine, EngineQuery, TkdQuery};
 use tkdi::model::{Dataset, ModelError};
 
 fn naive_scores(ds: &Dataset, k: usize) -> Vec<usize> {
@@ -15,27 +15,26 @@ fn naive_scores(ds: &Dataset, k: usize) -> Vec<usize> {
         .scores()
 }
 
-/// Run the full algorithm matrix (sequential × parallel × engine) against
+/// Run the full algorithm matrix (sequential × engine batches) against
 /// Naive on the given dataset.
 fn assert_all_algorithms_agree(name: &str, ds: &Dataset) {
-    let engine = ParallelEngine::builder(ds).threads(2).shards(2).build();
+    let mut engine = DynamicEngine::new(ds.clone());
     for k in [1usize, 2, ds.len() / 2 + 1, ds.len(), ds.len() + 3] {
         let reference = naive_scores(ds, k);
         for alg in Algorithm::ALL {
             let r = TkdQuery::new(k).algorithm(alg).run(ds);
             assert_eq!(r.scores(), reference, "{name}: {alg:?} k={k}");
             if matches!(alg, Algorithm::Big | Algorithm::Ibig) {
+                let batch = [EngineQuery::new(k).algorithm(alg), EngineQuery::new(1)];
                 for threads in [2usize, 4] {
-                    let p = TkdQuery::new(k).algorithm(alg).threads(threads).run(ds);
+                    let e = engine.query_many(&batch, threads).expect("BIG/IBIG");
                     assert_eq!(
-                        p.scores(),
-                        reference,
-                        "{name}: parallel {alg:?} threads={threads} k={k}"
+                        e[0].entries(),
+                        r.entries(),
+                        "{name}: engine {alg:?} threads={threads} k={k}"
                     );
                 }
             }
-            let e = engine.query(&EngineQuery::new(k).algorithm(alg));
-            assert_eq!(e.scores(), reference, "{name}: engine {alg:?} k={k}");
         }
     }
 }

@@ -5,7 +5,7 @@
 //! threads speaking the v5 cluster plane over real TCP sockets, shard
 //! snapshots on disk) and demands **bit-identical** answers — entries,
 //! scores, tie order, and the H1 cutoff position — against a
-//! [`ParallelEngine`] (static grid) or a twin [`DynamicEngine`]
+//! sequential [`TkdQuery`] (static grid) or a twin [`DynamicEngine`]
 //! (interleaved updates). The failure legs kill a worker mid-stream and
 //! require either a typed error or a correct retried answer; a wrong
 //! answer is never acceptable.
@@ -17,7 +17,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tkdi::cluster::{ClusterConfig, ClusterError, Coordinator, Worker, WorkerConfig};
-use tkdi::core::{Algorithm, DynamicEngine, EngineQuery, ParallelEngine, TkdResult, UpdateOp};
+use tkdi::core::{Algorithm, DynamicEngine, EngineQuery, TkdQuery, TkdResult, UpdateOp};
 
 const SHARDS: [usize; 3] = [1, 2, 3];
 const MISSING: [u64; 3] = [10, 30, 60];
@@ -63,12 +63,11 @@ fn entries(r: &TkdResult) -> Vec<(u32, usize)> {
 }
 
 /// Static grid: shard counts × missing rates × both algorithms × edge
-/// ks, against a `ParallelEngine` over the same rows.
+/// ks, against the sequential engines over the same rows.
 #[test]
 fn cluster_differential_grid() {
     for (seed, &missing) in MISSING.iter().enumerate() {
         let ds = synth(700 + seed as u64, 60, 3, 6, missing);
-        let oracle = ParallelEngine::builder(&ds).threads(2).shards(2).build();
         for &shards in &SHARDS {
             // Fresh fleet per cell: a worker keeps hosting its shards
             // until handed off, so each cluster gets its own workers.
@@ -78,7 +77,7 @@ fn cluster_differential_grid() {
                 .expect("seed cluster");
             for &alg in &ALGS {
                 for k in grid_ks(ds.len()) {
-                    let reference = oracle.query(&EngineQuery::new(k).algorithm(alg));
+                    let reference = TkdQuery::new(k).algorithm(alg).run(&ds);
                     let got = coord.query(k, alg).expect("cluster query");
                     assert_eq!(
                         entries(&got),

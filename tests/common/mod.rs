@@ -2,9 +2,9 @@
 //! dataset/op-sequence generators every differential harness uses.
 //!
 //! One copy of the splitmix recipe, the tie-heavy cell distribution, the
-//! mirror bookkeeping, and the random-op generator — previously
-//! duplicated across `dynamic_parity.rs`, `parallel_parity.rs`, and
-//! `persist_parity.rs`, now imported with `mod common;`. Keeping the
+//! mirror bookkeeping, the random-op generator and the batch parity
+//! cell — shared by `dynamic_parity.rs`, `dynamic_stress.rs`,
+//! `persist_parity.rs` and the serve suites through `mod common;`. Keeping the
 //! generators identical across suites matters: the serve-layer tests
 //! replay the *same* distributions the in-process oracles were hardened
 //! on, so a wire-layer divergence cannot hide behind a workload skew.
@@ -13,6 +13,7 @@
 // uses a different subset of it.
 #![allow(dead_code)]
 
+use tkdi::core::TieBreak;
 use tkdi::prelude::*;
 
 /// Splitmix-style deterministic stream (the harness convention; no RNG
@@ -159,6 +160,40 @@ pub fn apply_to_mirror(mirror: &mut Mirror, op: &UpdateOp, next_id: &mut ObjectI
                 .find(|(i, _)| i == id)
                 .expect("harness only updates live ids");
             r[*dim] = *v;
+        }
+    }
+}
+
+/// Fan-out widths every batch parity cell runs at.
+pub const BATCH_THREADS: [usize; 3] = [1, 2, 4];
+
+/// The batch parity cell: one `query_many` batch over `ks` × {BIG, IBIG}
+/// × {by id, random ties}, at every width in [`BATCH_THREADS`], must
+/// return in batch order exactly what `query` returns for each query
+/// alone — entries, scores and tie order.
+pub fn assert_batch_parity(engine: &mut DynamicEngine, ks: &[usize], tag: &str) {
+    let mut batch = Vec::new();
+    for alg in [Algorithm::Big, Algorithm::Ibig] {
+        for (i, &k) in ks.iter().enumerate() {
+            batch.push(EngineQuery::new(k).algorithm(alg));
+            batch.push(
+                EngineQuery::new(k)
+                    .algorithm(alg)
+                    .tie_break(TieBreak::Random(i as u64)),
+            );
+        }
+    }
+    let want: Vec<TkdResult> = batch
+        .iter()
+        .map(|q| engine.query(q).expect("BIG/IBIG supported"))
+        .collect();
+    for threads in BATCH_THREADS {
+        let got = engine
+            .query_many(&batch, threads)
+            .expect("BIG/IBIG supported");
+        assert_eq!(got.len(), batch.len(), "{tag}: threads={threads}");
+        for ((q, g), w) in batch.iter().zip(&got).zip(&want) {
+            assert_eq!(g.entries(), w.entries(), "{tag}: threads={threads} {q:?}");
         }
     }
 }

@@ -1,26 +1,28 @@
 //! The rebuild-oracle parity gate for the dynamic update subsystem.
 //!
 //! Grid (from the PR-4 acceptance criteria): randomized op sequences over
-//! ≥ 3 seeds × missing rates {0.1, 0.3, 0.6} × algorithms {BIG, IBIG} ×
-//! thread counts {1, 2}. After every batch of ops the [`DynamicEngine`]
-//! must be **bit-identical** — same entries, same scores, same tie order —
-//! to contexts rebuilt from scratch over the live data, for every `k` in
-//! an edge-heavy set. The harness keeps its *own* mirror of the expected
-//! live rows (it does not trust the engine's bookkeeping), checks the
-//! engine's snapshot against it, and pins the maintained `MaxScore` queue
-//! to the from-scratch queue — the invariant the whole tie-order argument
+//! ≥ 3 seeds × missing rates {0.1, 0.3, 0.6} × algorithms {BIG, IBIG}.
+//! After every batch of ops the [`DynamicEngine`] must be
+//! **bit-identical** — same entries, same scores, same tie order — to
+//! contexts rebuilt from scratch over the live data, for every `k` in an
+//! edge-heavy set, and its `query_many` batches at fan-out widths
+//! {1, 2, 4} must equal its single queries, random tie-breaks included.
+//! The harness keeps its *own* mirror of the expected live rows (it does
+//! not trust the engine's bookkeeping), checks the engine's snapshot
+//! against it, and pins the maintained `MaxScore` queue to the
+//! from-scratch queue — the invariant the whole tie-order argument
 //! rests on.
 
 mod common;
 
-use common::{apply_to_mirror, random_op, row, Mirror, Mix};
+use common::{apply_to_mirror, assert_batch_parity, random_op, row, Mirror, Mix};
 use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkdi::core::{maxscore, BinChoice, TkdQuery};
 use tkdi::prelude::*;
 use tkdi::ql::PlanStats;
 
 /// The parity cell: engine state vs rebuild-from-scratch oracles across
-/// both algorithms × both thread counts × an edge-heavy k set.
+/// both algorithms × an edge-heavy k set, then the batch cell.
 fn assert_parity(engine: &mut DynamicEngine, mirror: &Mirror, tag: &str) {
     // Bookkeeping parity first: snapshot and live ids match the mirror.
     if !mirror.rows.is_empty() {
@@ -52,8 +54,9 @@ fn assert_parity(engine: &mut DynamicEngine, mirror: &Mirror, tag: &str) {
     let n = mirror.rows.len();
     let ids = mirror.ids();
     let snap = if n > 0 { Some(mirror.dataset()) } else { None };
+    let ks = [0usize, 1, 2, n.saturating_sub(1), n, n + 3];
     for alg in [Algorithm::Big, Algorithm::Ibig] {
-        for k in [0usize, 1, 2, n.saturating_sub(1), n, n + 3] {
+        for k in ks {
             let oracle: Vec<(ObjectId, usize)> = match &snap {
                 None => Vec::new(),
                 Some(ds) => TkdQuery::new(k)
@@ -63,17 +66,16 @@ fn assert_parity(engine: &mut DynamicEngine, mirror: &Mirror, tag: &str) {
                     .map(|e| (ids[e.id as usize], e.score))
                     .collect(),
             };
-            for threads in [1usize, 2] {
-                let got: Vec<(ObjectId, usize)> = engine
-                    .query_threads(&EngineQuery::new(k).algorithm(alg), threads)
-                    .expect("BIG/IBIG supported")
-                    .iter()
-                    .map(|e| (e.id, e.score))
-                    .collect();
-                assert_eq!(got, oracle, "{tag}: {alg:?} k={k} threads={threads}");
-            }
+            let got: Vec<(ObjectId, usize)> = engine
+                .query(&EngineQuery::new(k).algorithm(alg))
+                .expect("BIG/IBIG supported")
+                .iter()
+                .map(|e| (e.id, e.score))
+                .collect();
+            assert_eq!(got, oracle, "{tag}: {alg:?} k={k}");
         }
     }
+    assert_batch_parity(engine, &ks, tag);
 }
 
 /// One grid cell: a full randomized op sequence under `seed × missing`,

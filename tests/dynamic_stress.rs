@@ -1,10 +1,13 @@
 //! Churn stress for the dynamic update subsystem: long mixed op streams,
-//! delete-everything/regrow cycles, compaction thrash, and interleaved
-//! multi-threaded queries. Spot-checks against the rebuild oracle at
-//! checkpoints (the exhaustive per-batch gate lives in
-//! `tests/dynamic_parity.rs`); between checkpoints it asserts the cheap
-//! invariants on every step.
+//! delete-everything/regrow cycles, compaction thrash, interleaved
+//! fanned-out query batches, and batches hammered on a tie-heavy
+//! dataset. Spot-checks against the rebuild oracle at checkpoints (the
+//! exhaustive per-batch gate lives in `tests/dynamic_parity.rs`);
+//! between checkpoints it asserts the cheap invariants on every step.
 
+mod common;
+
+use common::assert_batch_parity;
 use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkdi::core::{BinChoice, TkdQuery};
 use tkdi::prelude::*;
@@ -100,36 +103,34 @@ fn sustained_churn_with_compaction() {
             }
         }
         assert_eq!(engine.len(), expected_len, "step {step}");
-        // Interleaved queries must never fail or return dead ids.
+        // Interleaved batches must never fail or return dead ids.
         if step % 7 == 0 {
-            let r = engine
-                .query_threads(&EngineQuery::new(5), 2)
-                .expect("BIG supported");
-            for e in r.iter() {
-                assert!(
-                    engine.contains(e.id),
-                    "step {step}: dead id {} returned",
-                    e.id
-                );
+            let batch = [
+                EngineQuery::new(5),
+                EngineQuery::new(5).algorithm(Algorithm::Ibig),
+            ];
+            for r in engine.query_many(&batch, 2).expect("BIG/IBIG supported") {
+                for e in r.iter() {
+                    assert!(
+                        engine.contains(e.id),
+                        "step {step}: dead id {} returned",
+                        e.id
+                    );
+                }
             }
         }
         // Oracle checkpoint.
         if step % 57 == 0 || step == 399 {
             for alg in [Algorithm::Big, Algorithm::Ibig] {
-                for threads in [1usize, 2] {
-                    let got: Vec<(ObjectId, usize)> = engine
-                        .query_threads(&EngineQuery::new(9).algorithm(alg), threads)
-                        .unwrap()
-                        .iter()
-                        .map(|e| (e.id, e.score))
-                        .collect();
-                    assert_eq!(
-                        got,
-                        oracle_entries(&engine, 9, alg),
-                        "step {step} {alg:?} threads={threads}"
-                    );
-                }
+                let got: Vec<(ObjectId, usize)> = engine
+                    .query(&EngineQuery::new(9).algorithm(alg))
+                    .unwrap()
+                    .iter()
+                    .map(|e| (e.id, e.score))
+                    .collect();
+                assert_eq!(got, oracle_entries(&engine, 9, alg), "step {step} {alg:?}");
             }
+            assert_batch_parity(&mut engine, &[1, 9], &format!("step {step}"));
         }
     }
     assert!(engine.epoch() > 0, "churn at 30 % threshold must compact");
@@ -171,7 +172,7 @@ fn drain_and_regrow_cycles() {
         }
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             let got: Vec<(ObjectId, usize)> = engine
-                .query_threads(&EngineQuery::new(6).algorithm(alg), 2)
+                .query(&EngineQuery::new(6).algorithm(alg))
                 .unwrap()
                 .iter()
                 .map(|e| (e.id, e.score))
@@ -181,6 +182,54 @@ fn drain_and_regrow_cycles() {
                 oracle_entries(&engine, 6, alg),
                 "cycle {cycle} after regrow {alg:?}"
             );
+        }
+        assert_batch_parity(&mut engine, &[1, 6], &format!("cycle {cycle}"));
+    }
+}
+
+/// Tie-heavy dataset: tiny cardinality so scores collide massively and
+/// the k-th score is contested at every offer.
+fn tie_heavy(n: usize) -> Dataset {
+    let rows: Vec<Vec<Option<f64>>> = (0..n)
+        .map(|i| {
+            vec![
+                Some((i % 3) as f64),
+                Some(((i / 3) % 3) as f64),
+                (i % 7 != 0).then_some((i % 2) as f64),
+            ]
+        })
+        .collect();
+    Dataset::from_rows(3, &rows).unwrap()
+}
+
+/// Many batches on four oversubscribed workers, on a queue dominated by
+/// tied scores: every answer comes back in batch order, equal to the
+/// single query, with no id lost or repeated.
+#[test]
+fn query_many_never_loses_or_duplicates_results() {
+    let mut engine = DynamicEngine::new(tie_heavy(256));
+    let n = engine.len();
+    let batch: Vec<EngineQuery> = (0..16)
+        .map(|i| {
+            let alg = if i % 2 == 0 {
+                Algorithm::Big
+            } else {
+                Algorithm::Ibig
+            };
+            EngineQuery::new(1 + i * 3).algorithm(alg)
+        })
+        .collect();
+    let want: Vec<TkdResult> = batch.iter().map(|q| engine.query(q).unwrap()).collect();
+    for it in 0..60 {
+        let got = engine.query_many(&batch, 4).unwrap();
+        assert_eq!(got.len(), batch.len(), "iteration {it}");
+        for ((q, r), w) in batch.iter().zip(&got).zip(&want) {
+            assert_eq!(r.entries(), w.entries(), "iteration {it} {q:?}");
+            let mut ids = r.ids();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), r.len(), "duplicated id, iteration {it}");
+            assert_eq!(r.len(), q.k.min(n), "lost result, iteration {it}");
         }
     }
 }

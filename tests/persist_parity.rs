@@ -1,6 +1,6 @@
 //! Round-trip parity for persistent snapshots — the same differential
-//! discipline as the parallel (PR 3) and dynamic (PR 4) subsystems: a
-//! snapshot written and loaded back must answer every query
+//! discipline as the dynamic subsystem: a snapshot written and loaded
+//! back must answer every query
 //! **bit-identically** (entries, scores, tie order) to the freshly
 //! built context it came from, across missing rates {0.1, 0.3, 0.6} ×
 //! bin counts × {BIG, IBIG}, statically built engines and engines that
@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{cell, random_dataset, row, Mix};
+use common::{assert_batch_parity, cell, random_dataset, row, Mix};
 use proptest::prelude::*;
 use tkdi::core::dynamic::{CompactionPolicy, DynamicOptions};
 use tkdi::core::{BinChoice, TkdQuery};
@@ -29,7 +29,8 @@ fn entries(engine: &mut DynamicEngine, k: usize, alg: Algorithm) -> Vec<(ObjectI
 }
 
 /// Round-trip one engine and pin the loaded copy to the original across
-/// an edge-heavy k grid, both algorithms, and both thread counts.
+/// an edge-heavy k grid and both algorithms, then run the batch cell on
+/// the loaded copy.
 fn assert_roundtrip_parity(engine: &mut DynamicEngine, tag: &str) {
     let bytes = store::encode_engine(engine);
     let mut loaded = store::decode_engine(&bytes).expect("own snapshot loads");
@@ -49,25 +50,17 @@ fn assert_roundtrip_parity(engine: &mut DynamicEngine, tag: &str) {
         "{tag}: queue"
     );
     let n = engine.len();
+    let ks = [0usize, 1, 2, n.saturating_sub(1), n, n + 3];
     for alg in [Algorithm::Big, Algorithm::Ibig] {
-        for k in [0usize, 1, 2, n.saturating_sub(1), n, n + 3] {
-            let want: Vec<(ObjectId, usize)> = engine
-                .query(&EngineQuery::new(k).algorithm(alg))
-                .expect("supported")
-                .iter()
-                .map(|e| (e.id, e.score))
-                .collect();
-            for threads in [1usize, 2] {
-                let got: Vec<(ObjectId, usize)> = loaded
-                    .query_threads(&EngineQuery::new(k).algorithm(alg), threads)
-                    .expect("supported")
-                    .iter()
-                    .map(|e| (e.id, e.score))
-                    .collect();
-                assert_eq!(got, want, "{tag}: {alg:?} k={k} threads={threads}");
-            }
+        for k in ks {
+            assert_eq!(
+                entries(&mut loaded, k, alg),
+                entries(engine, k, alg),
+                "{tag}: {alg:?} k={k}"
+            );
         }
     }
+    assert_batch_parity(&mut loaded, &ks, tag);
 }
 
 /// The static grid: fresh engines over random datasets, missing rates ×

@@ -3,11 +3,12 @@
 //! engines it wraps.
 //!
 //! Three layers of pinning, in increasing depth:
-//! * static: wire queries against a freshly loaded snapshot vs a
-//!   [`ParallelEngine`] built over the same dataset, across missing
+//! * static: wire queries against a freshly loaded snapshot vs the
+//!   sequential [`TkdQuery`] over the same dataset, across missing
 //!   rates × {BIG, IBIG} × an edge-heavy k grid;
-//! * batched: explicit `query_batch` frames vs per-query answers and vs
-//!   `ParallelEngine::query_many` (the coalescing path the server uses);
+//! * batched: explicit `query_batch` frames (served through
+//!   `DynamicEngine::query_many`, the coalescing path) vs per-query
+//!   answers and vs the sequential [`TkdQuery`];
 //! * dynamic: interleaved wire update batches vs a local twin engine
 //!   *and* the PR-4 rebuild oracle (a from-scratch [`TkdQuery`] over the
 //!   mirror's live rows) — the same discipline as
@@ -70,24 +71,26 @@ fn in_process(engine: &mut DynamicEngine, k: usize, alg: Algorithm) -> Vec<(u32,
         .collect()
 }
 
-/// Static wire parity: the served snapshot answers exactly like a
-/// ParallelEngine built over the same dataset, for every grid cell.
+/// The sequential oracle, binned like the served engine.
+fn sequential(ds: &Dataset, k: usize, alg: Algorithm) -> TkdResult {
+    TkdQuery::new(k)
+        .algorithm(alg)
+        .bins(BinChoice::Fixed(BINS))
+        .run(ds)
+}
+
+/// Static wire parity: the served snapshot answers exactly like the
+/// sequential engines over the same dataset, for every grid cell.
 #[test]
-fn static_queries_match_parallel_engine() {
+fn static_queries_match_sequential_engines() {
     for missing_pct in [10u64, 30, 60] {
         let mut rng = Mix(900 + missing_pct);
         let ds = random_dataset(&mut rng, 50, 3, missing_pct);
         let n = ds.len();
-        let reference = ParallelEngine::builder(&ds)
-            .threads(2)
-            .shards(1)
-            .bins(vec![BINS; ds.dims()])
-            .build();
         let (server, mut client) = start(ds.clone());
         for alg in [Algorithm::Big, Algorithm::Ibig] {
             for k in [0usize, 1, 2, n - 1, n, n + 3] {
-                let want: Vec<(u32, usize)> = reference
-                    .query(&EngineQuery::new(k).algorithm(alg))
+                let want: Vec<(u32, usize)> = sequential(&ds, k, alg)
                     .iter()
                     .map(|e| (e.id, e.score))
                     .collect();
@@ -103,16 +106,11 @@ fn static_queries_match_parallel_engine() {
 }
 
 /// Batched wire parity: one `query_batch` frame answers exactly like
-/// the same queries sent individually, and like `query_many` in-process.
+/// the same queries sent individually, and like the sequential engines.
 #[test]
 fn query_batch_matches_individual_queries() {
     let mut rng = Mix(17);
     let ds = random_dataset(&mut rng, 60, 4, 30);
-    let reference = ParallelEngine::builder(&ds)
-        .threads(2)
-        .shards(1)
-        .bins(vec![BINS; ds.dims()])
-        .build();
     let (server, mut client) = start(ds.clone());
     let specs: Vec<QuerySpec> = (0..12)
         .map(|i| {
@@ -128,20 +126,15 @@ fn query_batch_matches_individual_queries() {
         .collect();
     let batched = client.query_batch(&specs).expect("batch answers");
     assert_eq!(batched.len(), specs.len());
-    let queries: Vec<EngineQuery> = specs
-        .iter()
-        .map(|s| EngineQuery::new(s.k as usize).algorithm(s.algorithm))
-        .collect();
-    let many = reference.query_many(&queries);
     for (i, spec) in specs.iter().enumerate() {
         let single = client.query(*spec).expect("single query");
         assert_eq!(batched[i], single, "batch[{i}] vs single");
-        let want: Vec<(u64, u64)> = many[i]
+        let want: Vec<(u64, u64)> = sequential(&ds, spec.k as usize, spec.algorithm)
             .iter()
             .map(|e| (u64::from(e.id), e.score as u64))
             .collect();
         let got: Vec<(u64, u64)> = batched[i].iter().map(|e| (e.id, e.score)).collect();
-        assert_eq!(got, want, "batch[{i}] vs query_many");
+        assert_eq!(got, want, "batch[{i}] vs sequential");
     }
     server.stop().expect("clean stop");
 }

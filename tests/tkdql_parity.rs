@@ -167,12 +167,9 @@ fn where_plus_subspace_matches_the_hand_composition() {
 }
 
 #[test]
-fn threads_and_bins_do_not_change_answers() {
+fn bins_do_not_change_answers() {
     for (i, &missing) in MISSING_RATES.iter().enumerate() {
         let ds = workload(missing, 940 + i as u64);
-        let base = run_stmt("SELECT TOP 8 DOMINATING USING BIG", &ds);
-        let threaded = run_stmt("SELECT TOP 8 DOMINATING USING BIG WITH THREADS 2", &ds);
-        assert_eq!(threaded.entries(), base.entries(), "σ={missing} threads");
         let ibig = run_stmt("SELECT TOP 8 DOMINATING USING IBIG", &ds);
         for bins in [2usize, 5, 16] {
             let binned = run_stmt(
@@ -238,9 +235,7 @@ fn engine_target_matches_snapshot_oracles() {
                     Outcome::Rows(r) => r,
                     other => panic!("{text}: {other:?}"),
                 };
-                let want = engine
-                    .query_threads(&EngineQuery::new(k).algorithm(alg), 1)
-                    .unwrap();
+                let want = engine.query(&EngineQuery::new(k).algorithm(alg)).unwrap();
                 assert_eq!(got.entries(), want.entries(), "σ={missing} `{text}`");
             }
             // Scoped: snapshot + variants + live-id translation.
